@@ -22,18 +22,6 @@
 // The batched and rebuild paths must produce bit-identical consensus
 // rankings; the bench aborts loudly if they ever drift.
 //
-// An `async` section races the two TCP front ends (serve/executor.h) on
-// a K-client mixed mutate/query workload over loopback: every client
-// owns one "hot" table receiving bulk APPEND backlogs + RUNs (a long
-// exclusive drain per wave) and several light tables queried in the same
-// pipeline. The thread-per-connection server executes each connection's
-// pipeline serially, so the light RUNs queue behind the hot fold; the
-// executor overlaps them across its shared worker pool while still
-// delivering responses in request order. Both servers' response streams
-// must be bit-identical to a synchronous Dispatcher replay — the bench
-// aborts loudly on any drift. (The overlap needs real cores: on a
-// single-CPU host the two models converge to parity.)
-//
 // A second section measures the snapshot/restore path (data/snapshot.h):
 // a table folded from a large Mallows stream is snapshotted to disk,
 // restored into a fresh ContextManager, and compared against the only
@@ -750,38 +738,7 @@ OpLogBench RunOpLogBench(bool quick) {
   return bench;
 }
 
-// --- async executor vs thread-per-connection over loopback TCP -------------
-
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
-struct AsyncWorkload {
-  int clients = 3;
-  int light_tables = 6;      // per client, next to its one hot table
-  int waves = 3;
-  int n = 60;                // candidates per table
-  int hot_appends = 4;       // bulk APPEND requests per wave (hot table)
-  int hot_rankings = 800;    // rankings per bulk APPEND
-  int light_rankings = 120;  // rankings appended per light table per wave
-  size_t workers = 4;        // executor pool size
-};
-
-struct AsyncClientPlan {
-  /// Untimed: CREATEs, seed appends, one warmup RUN per table.
-  std::vector<std::string> setup;
-  /// Timed: one pipelined request block per wave.
-  std::vector<std::vector<std::string>> waves;
-  /// Per wave: response indices of the light-table RUNs (the latency
-  /// probes queued behind the hot fold).
-  std::vector<std::vector<size_t>> light_run_indices;
-};
-
-struct AsyncScenarioResult {
-  double seconds = 0.0;
-  long requests = 0;
-  double light_latency_mean_ms = 0.0;
-  /// Every response line, per client, in wire order (equivalence check).
-  std::vector<std::vector<std::string>> responses;
-};
 
 std::string AsyncRankingText(int n, int rotation) {
   std::ostringstream os;
@@ -792,63 +749,7 @@ std::string AsyncRankingText(int n, int rotation) {
   return os.str();
 }
 
-/// The per-client request script. Tables are client-owned (disjoint
-/// across clients), so each client's response stream is deterministic
-/// and bit-comparable against a serial replay.
-AsyncClientPlan BuildAsyncPlan(const AsyncWorkload& w, int client) {
-  AsyncClientPlan plan;
-  const std::string hot = "h" + std::to_string(client);
-  std::vector<std::string> lights;
-  for (int t = 0; t < w.light_tables; ++t) {
-    lights.push_back("l" + std::to_string(client) + "_" + std::to_string(t));
-  }
-  const std::string cyclic =
-      " CYCLIC " + std::to_string(w.n) + " 2 2";
-  plan.setup.push_back("CREATE " + hot + cyclic);
-  plan.setup.push_back("APPEND " + hot + " " + AsyncRankingText(w.n, client));
-  plan.setup.push_back("RUN " + hot + " A4");
-  for (const std::string& light : lights) {
-    plan.setup.push_back("CREATE " + light + cyclic);
-    plan.setup.push_back("APPEND " + light + " " +
-                         AsyncRankingText(w.n, client + 1));
-    plan.setup.push_back("RUN " + light + " A4");
-  }
-  for (int wave = 0; wave < w.waves; ++wave) {
-    std::vector<std::string> requests;
-    std::vector<size_t> light_runs;
-    // The hot table's exclusive mutation wave: a bulk backlog that the
-    // following RUN folds in one long exclusive drain.
-    for (int a = 0; a < w.hot_appends; ++a) {
-      std::ostringstream os;
-      os << "APPEND " << hot;
-      for (int r = 0; r < w.hot_rankings; ++r) {
-        if (r != 0) os << " ;";
-        os << ' ' << AsyncRankingText(w.n, (wave * 131 + a * 17 + r) % w.n);
-      }
-      requests.push_back(os.str());
-    }
-    requests.push_back("RUN " + hot + " A4");
-    // The light tables' query waves, pipelined behind the hot work on
-    // the same connection: the executor overlaps them, the
-    // thread-per-connection baseline head-of-line-blocks them.
-    for (const std::string& light : lights) {
-      std::ostringstream os;
-      os << "APPEND " << light;
-      for (int r = 0; r < w.light_rankings; ++r) {
-        if (r != 0) os << " ;";
-        os << ' ' << AsyncRankingText(w.n, (wave * 37 + r) % w.n);
-      }
-      requests.push_back(os.str());
-      light_runs.push_back(requests.size());  // the RUN pushed next
-      requests.push_back("RUN " + light + " A4");
-    }
-    plan.waves.push_back(std::move(requests));
-    plan.light_run_indices.push_back(std::move(light_runs));
-  }
-  return plan;
-}
-
-/// Blocking loopback client used by both scenarios.
+/// Blocking loopback client for the event-loop scaling legs.
 class AsyncClientSocket {
  public:
   explicit AsyncClientSocket(int port) {
@@ -859,7 +760,7 @@ class AsyncClientSocket {
     addr.sin_port = htons(static_cast<uint16_t>(port));
     if (fd_ < 0 || ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                              sizeof(addr)) != 0) {
-      std::fprintf(stderr, "async bench: cannot connect to 127.0.0.1:%d\n",
+      std::fprintf(stderr, "async_epoll bench: cannot connect to 127.0.0.1:%d\n",
                    port);
       std::abort();
     }
@@ -884,33 +785,29 @@ class AsyncClientSocket {
       );
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
-        std::fprintf(stderr, "async bench: send failed\n");
+        std::fprintf(stderr, "async_epoll bench: send failed\n");
         std::abort();
       }
       sent += static_cast<size_t>(n);
     }
   }
 
-  /// Reads `count` response lines, stamping each arrival on `clock`.
-  void ReadResponses(size_t count, const Stopwatch& clock,
-                     std::vector<std::string>* lines,
-                     std::vector<double>* arrival_seconds) {
+  /// Reads `count` response lines.
+  void ReadResponses(size_t count, std::vector<std::string>* lines) {
     size_t got_lines = 0;
     while (got_lines < count) {
       char chunk[65536];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
-        std::fprintf(stderr, "async bench: connection died mid-response\n");
+        std::fprintf(stderr, "async_epoll bench: connection died mid-response\n");
         std::abort();
       }
-      const double now = clock.Seconds();
       buffer_.append(chunk, static_cast<size_t>(n));
       size_t start = 0;
       for (size_t nl = buffer_.find('\n'); nl != std::string::npos;
            nl = buffer_.find('\n', start)) {
         lines->push_back(buffer_.substr(start, nl - start));
-        arrival_seconds->push_back(now);
         start = nl + 1;
         ++got_lines;
         if (got_lines == count) break;
@@ -923,191 +820,6 @@ class AsyncClientSocket {
   int fd_ = -1;
   std::string buffer_;
 };
-
-/// Drives the K clients against an already-started server and gathers
-/// wall-clock + light-RUN latency. `Server` is either front end.
-template <typename Server>
-AsyncScenarioResult RunAsyncScenario(const AsyncWorkload& w,
-                                     const std::vector<AsyncClientPlan>& plans,
-                                     Server& server) {
-  AsyncScenarioResult result;
-  result.responses.resize(plans.size());
-  std::vector<double> latency_sums(plans.size(), 0.0);
-  std::vector<long> latency_counts(plans.size(), 0);
-  std::vector<long> request_counts(plans.size(), 0);
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> clients;
-  Stopwatch total_timer;
-  for (size_t c = 0; c < plans.size(); ++c) {
-    clients.emplace_back([&, c] {
-      const AsyncClientPlan& plan = plans[c];
-      AsyncClientSocket socket(server.port());
-      // Untimed setup: CREATE + seed + cache warmup.
-      {
-        std::string wire;
-        for (const std::string& request : plan.setup) {
-          wire += request;
-          wire += '\n';
-        }
-        socket.Send(wire);
-        std::vector<double> ignored;
-        socket.ReadResponses(plan.setup.size(), total_timer,
-                             &result.responses[c], &ignored);
-      }
-      ready.fetch_add(1);
-      while (!go.load()) std::this_thread::yield();
-      for (size_t wave = 0; wave < plan.waves.size(); ++wave) {
-        const std::vector<std::string>& requests = plan.waves[wave];
-        std::string wire;
-        for (const std::string& request : requests) {
-          wire += request;
-          wire += '\n';
-        }
-        Stopwatch wave_clock;
-        socket.Send(wire);
-        std::vector<std::string> lines;
-        std::vector<double> arrivals;
-        socket.ReadResponses(requests.size(), wave_clock, &lines, &arrivals);
-        for (size_t index : plan.light_run_indices[wave]) {
-          latency_sums[c] += arrivals[index];
-          ++latency_counts[c];
-        }
-        request_counts[c] += static_cast<long>(requests.size());
-        for (std::string& line : lines) {
-          result.responses[c].push_back(std::move(line));
-        }
-      }
-    });
-  }
-  while (ready.load() < static_cast<int>(plans.size())) {
-    std::this_thread::yield();
-  }
-  total_timer.Restart();
-  go.store(true);
-  for (std::thread& t : clients) t.join();
-  result.seconds = total_timer.Seconds();
-  double latency_sum = 0.0;
-  long latency_count = 0;
-  for (size_t c = 0; c < plans.size(); ++c) {
-    latency_sum += latency_sums[c];
-    latency_count += latency_counts[c];
-    result.requests += request_counts[c];
-  }
-  result.light_latency_mean_ms =
-      latency_count > 0 ? 1e3 * latency_sum / latency_count : 0.0;
-  return result;
-}
-
-/// The ground truth both servers must reproduce bit-for-bit: each
-/// client's full request stream replayed through a synchronous
-/// Dispatcher. One shared manager is correct because client table sets
-/// are disjoint.
-std::vector<std::vector<std::string>> AsyncReference(
-    const std::vector<AsyncClientPlan>& plans) {
-  serve::ContextManager manager;
-  serve::Dispatcher dispatcher(&manager);
-  std::vector<std::vector<std::string>> responses(plans.size());
-  for (size_t c = 0; c < plans.size(); ++c) {
-    const auto replay = [&](const std::vector<std::string>& requests) {
-      for (const std::string& request : requests) {
-        std::string response = dispatcher.Handle(request);
-        if (!response.empty()) responses[c].push_back(std::move(response));
-      }
-    };
-    replay(plans[c].setup);
-    for (const std::vector<std::string>& wave : plans[c].waves) replay(wave);
-  }
-  return responses;
-}
-
-void CheckAsyncEquivalent(const char* label,
-                          const std::vector<std::vector<std::string>>& got,
-                          const std::vector<std::vector<std::string>>& want) {
-  for (size_t c = 0; c < want.size(); ++c) {
-    if (got[c] != want[c]) {
-      std::fprintf(stderr,
-                   "FATAL: %s response stream drifted from the synchronous "
-                   "dispatcher for client %zu\n",
-                   label, c);
-      std::abort();
-    }
-  }
-}
-
-struct AsyncBench {
-  AsyncWorkload workload;
-  AsyncScenarioResult threaded;
-  AsyncScenarioResult executor;
-  uint64_t parked = 0;
-};
-
-AsyncBench RunAsyncBench(bool quick) {
-  AsyncBench bench;
-  AsyncWorkload& w = bench.workload;
-  // Size the pool to the hardware: with fewer cores than workers the OS
-  // just timeslices the overlap away (and charges for the context
-  // switches) — on a single-CPU host the executor degrades gracefully to
-  // a one-worker pipeline instead of a 4-way thrash.
-  w.workers = std::min<size_t>(8, std::max<size_t>(1, DefaultThreadCount()));
-  if (quick) {
-    // One client on the quick run: CI runners are small, and a lone
-    // pipelining client is exactly the head-of-line-blocking shape the
-    // executor exists to fix — its light RUNs overlap the hot fold as
-    // soon as a second core exists.
-    w.clients = 1;
-    w.light_tables = 5;
-    w.waves = 3;
-    w.n = 48;
-    w.hot_appends = 3;
-    w.hot_rankings = 700;
-    w.light_rankings = 100;
-  }
-  std::vector<AsyncClientPlan> plans;
-  for (int c = 0; c < w.clients; ++c) plans.push_back(BuildAsyncPlan(w, c));
-  const std::vector<std::vector<std::string>> expected = AsyncReference(plans);
-
-  // Best-of-3 per scenario (every repetition equivalence-checked, the
-  // fastest wall-clock reported): the two servers are measured at
-  // different instants, so on a small/noisy host a single background
-  // hiccup would otherwise swing the reported ratio by tens of percent.
-  constexpr int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    serve::ContextManager manager;
-    serve::ServerOptions options;
-    serve::ThreadPerConnectionServer server(&manager, options);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "async bench: %s\n", error.c_str());
-      std::abort();
-    }
-    AsyncScenarioResult result = RunAsyncScenario(w, plans, server);
-    server.Shutdown();
-    CheckAsyncEquivalent("thread_per_connection", result.responses, expected);
-    if (rep == 0 || result.seconds < bench.threaded.seconds) {
-      bench.threaded = std::move(result);
-    }
-  }
-  for (int rep = 0; rep < kReps; ++rep) {
-    serve::ContextManager manager;
-    serve::ServerOptions options;
-    options.workers = w.workers;
-    serve::ServeExecutor server(&manager, options);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "async bench: %s\n", error.c_str());
-      std::abort();
-    }
-    AsyncScenarioResult result = RunAsyncScenario(w, plans, server);
-    bench.parked += server.requests_parked();
-    server.Shutdown();
-    CheckAsyncEquivalent("executor", result.responses, expected);
-    if (rep == 0 || result.seconds < bench.executor.seconds) {
-      bench.executor = std::move(result);
-    }
-  }
-  return bench;
-}
 
 // --- epoll vs poll event-loop scaling --------------------------------------
 //
@@ -1186,9 +898,7 @@ double RunEpollScalePoint(const serve::ServerOptions& options, int connections,
     }
     seeder.Send(seed_wire);
     std::vector<std::string> lines;
-    std::vector<double> ignored;
-    Stopwatch clock;
-    seeder.ReadResponses(seed.size(), clock, &lines, &ignored);
+    seeder.ReadResponses(seed.size(), &lines);
     for (const std::string& line : lines) {
       if (line.rfind("OK ", 0) != 0) {
         std::fprintf(stderr, "async_epoll bench: seed failed: %s\n",
@@ -1218,9 +928,7 @@ double RunEpollScalePoint(const serve::ServerOptions& options, int connections,
       }
       socket.Send(wire);
       std::vector<std::string> lines;
-      std::vector<double> ignored;
-      Stopwatch local_clock;
-      socket.ReadResponses(expected.size(), local_clock, &lines, &ignored);
+      socket.ReadResponses(expected.size(), &lines);
       if (lines != expected) mismatches.fetch_add(1);
     });
   }
@@ -1789,16 +1497,6 @@ int main() {
   CheckEquivalent(w, "batched_concurrent", concurrent, batched);
   CheckEquivalent(w, "per_request_rebuild", rebuild, batched);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  const AsyncBench async = RunAsyncBench(QuickMode());
-  const double async_speedup =
-      async.executor.seconds > 0.0
-          ? async.threaded.seconds / async.executor.seconds
-          : 0.0;
-  const double async_latency_ratio =
-      async.executor.light_latency_mean_ms > 0.0
-          ? async.threaded.light_latency_mean_ms /
-                async.executor.light_latency_mean_ms
-          : 0.0;
   const EpollScaleBench epoll_scale = RunEpollScaleBench(QuickMode());
   const ReplicationBench replication = RunReplicationBench(QuickMode());
 #endif
@@ -1855,26 +1553,6 @@ int main() {
       select_cache.eval_n, select_cache.eval_rankings,
       select_cache.eval_cold_seconds, select_cache.eval_warm_seconds);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  std::fprintf(
-      f,
-      "  \"async\": {\"clients\": %d, \"light_tables\": %d, \"waves\": %d, "
-      "\"n\": %d, \"hot_appends\": %d, \"hot_rankings\": %d, "
-      "\"light_rankings\": %d, \"workers\": %zu, \"parked_requests\": %llu,\n"
-      "    \"thread_per_connection\": {\"seconds\": %.6f, \"requests\": %ld, "
-      "\"light_run_latency_ms\": %.3f},\n"
-      "    \"executor\": {\"seconds\": %.6f, \"requests\": %ld, "
-      "\"light_run_latency_ms\": %.3f},\n"
-      "    \"speedup_executor_vs_threads\": %.3f, "
-      "\"light_latency_ratio\": %.3f},\n",
-      async.workload.clients, async.workload.light_tables,
-      async.workload.waves, async.workload.n, async.workload.hot_appends,
-      async.workload.hot_rankings, async.workload.light_rankings,
-      async.workload.workers,
-      static_cast<unsigned long long>(async.parked),
-      async.threaded.seconds, async.threaded.requests,
-      async.threaded.light_latency_mean_ms, async.executor.seconds,
-      async.executor.requests, async.executor.light_latency_mean_ms,
-      async_speedup, async_latency_ratio);
   std::fprintf(f,
                "  \"async_epoll\": {\"cores\": %zu, "
                "\"requests_per_connection\": %d, \"reps\": %d,\n"
@@ -1967,14 +1645,6 @@ int main() {
   std::printf("batched vs rebuild: %.2fx   concurrent scaling: %.2fx\n",
               speedup, concurrent_speedup);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  std::printf("async (%d clients, %d tables each): thread-per-conn %.4fs "
-              "(light RUN %.2fms) vs executor %.4fs (light RUN %.2fms) -> "
-              "%.2fx, latency %.2fx, parked %llu\n",
-              async.workload.clients, 1 + async.workload.light_tables,
-              async.threaded.seconds, async.threaded.light_latency_mean_ms,
-              async.executor.seconds, async.executor.light_latency_mean_ms,
-              async_speedup, async_latency_ratio,
-              static_cast<unsigned long long>(async.parked));
   for (const EpollScalePoint& point : epoll_scale.points) {
     std::printf("async_epoll %4d conns: %s/1-loop %.4fs vs %s/%zu-loop "
                 "%.4fs -> %.2fx (%ld req, %zu cores)\n",

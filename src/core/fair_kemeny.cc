@@ -147,11 +147,12 @@ FairKemenyResult FairKemenyAggregate(const PrecedenceMatrix& w,
     result.ranking = Ranking(std::move(ids));
     result.optimal = ilp.status == lp::SolveStatus::kOptimal;
     result.cost = w.KemenyCost(result.ranking);
-  } else if (ilp.status != lp::SolveStatus::kInfeasible) {
-    // Budget exhausted before the search produced an incumbent (huge
-    // instances): fall back to the locally-optimised Copeland consensus
-    // repaired by Make-MR-Fair — the same construction the heuristic
-    // incumbent would have used.
+  } else {
+    // Delta proven infeasible, or the budget ran out before the search
+    // produced an incumbent (huge instances): fall back to the
+    // locally-optimised Copeland consensus repaired by Make-MR-Fair — the
+    // same construction the heuristic incumbent would have used — so the
+    // caller always gets a full ranking, flagged by `feasible`.
     Ranking start = CopelandAggregate(w);
     LocalKemenyImprove(w, &start);
     MakeMrFairOptions mmf;
@@ -161,8 +162,12 @@ FairKemenyResult FairKemenyAggregate(const PrecedenceMatrix& w,
     }
     MakeMrFairResult repaired = MakeMrFair(start, table, mmf);
     result.ranking = std::move(repaired.ranking);
-    result.feasible = repaired.satisfied;
-    result.optimal = false;
+    // A kInfeasible verdict is a proof — a deterministic property of the
+    // profile, so the outcome is settled; a budget exit without an
+    // incumbent is merely "not found within budget".
+    const bool proven_infeasible = ilp.status == lp::SolveStatus::kInfeasible;
+    result.feasible = !proven_infeasible && repaired.satisfied;
+    result.optimal = proven_infeasible;
     result.cost = w.KemenyCost(result.ranking);
   }
   return result;

@@ -33,8 +33,13 @@ struct FairKemenyOptions {
 };
 
 struct FairKemenyResult {
+  /// Always a full permutation. Without an ILP solution (Delta proven
+  /// infeasible, or budget exhausted) it is the Make-MR-Fair-repaired
+  /// Copeland fallback.
   Ranking ranking;
-  /// Proved optimal under the constraints.
+  /// The search settled within budget: proved optimal under the
+  /// constraints, or (with `feasible` false) proved Delta infeasible.
+  /// False means the budget ran out and the ranking depends on it.
   bool optimal = false;
   /// A feasible ranking was found (the ILP can be infeasible when Delta is
   /// smaller than the best parity achievable with the given group sizes).

@@ -319,8 +319,8 @@ class ContextManager {
   /// untouched.
   SelectOutcome Select(const std::string& name, const SelectQuery& query);
 
-  /// Manager-wide result cache switch (serve_main --no-result-cache and
-  /// the cache-disabled twins in tests/bench). Applies to every existing
+  /// Manager-wide result cache switch (the cache-disabled twins in
+  /// tests/bench). Applies to every existing
   /// and future table; disabling drops current entries. Responses are
   /// bit-identical either way — only the recompute cost changes.
   void SetResultCacheEnabled(bool enabled);
@@ -402,10 +402,9 @@ class ContextManager {
   // --- non-blocking drain scheduling hooks (async front ends) ---------
   //
   // A draining verb (Run / RunAll / RunSupported / Flush / SnapshotTable)
-  // can block for the length of a whole exclusive backlog fold. A
-  // thread-per-connection server just parks the client's thread; an async
-  // front end dispatching requests onto a bounded worker pool must not
-  // let one table's fold absorb every worker. These hooks let it route
+  // can block for the length of a whole exclusive backlog fold. An
+  // async front end dispatching requests onto a bounded worker pool must
+  // not let one table's fold absorb every worker. These hooks let it route
   // around the fold without ever blocking a scheduling thread:
   // IsDraining says "an exclusive fold is running on this table right
   // now", and the drain observer fires (table name, on the draining

@@ -14,7 +14,7 @@ namespace manirank::serve {
 /// line, one response line per request; responses start with "OK" or
 /// "ERR <code>:". Blank lines and lines starting with '#' are skipped
 /// (no response). The same grammar is served by the manirank_serve binary
-/// (stdin or socket), the CLI's --serve replay mode, and bench_serving.
+/// (stdin, --script replay, or socket) and bench_serving.
 ///
 /// Grammar (tokens are whitespace-separated; ';' separates rankings in an
 /// APPEND payload and may be glued to a number):
@@ -108,8 +108,9 @@ namespace manirank::serve {
 /// Responses are byte-identical hit or miss — only nondeterministic
 /// results (budget-limited inexact solves) bypass the cache. STATS
 /// reports per-table cache_hits= / cache_misses= / cache_entries=;
-/// METRICS aggregates result_cache_* across tables; --no-result-cache
-/// disables the cache process-wide (for baselines and twins).
+/// METRICS aggregates result_cache_* across tables.
+/// ContextManager::SetResultCacheEnabled disables the cache manager-wide
+/// (for the cache-off equivalence twins).
 ///
 /// REPLICATE switches the connection into a replication stream (leader
 /// side): the response line "OK REPLICATE <table> snapshot_bytes=<N>
@@ -151,8 +152,8 @@ namespace manirank::serve {
 ///
 /// METRICS reports the serving front end's per-event-loop counters (see
 /// ServeExecutor::MetricsResponse); it answers "ERR unavailable:" on
-/// front ends without an executor (stdin / --serve replay / --threaded),
-/// which have no event loops to report on.
+/// front ends without an executor (stdin / --script replay), which have
+/// no event loops to report on.
 ///
 /// With durability attached, STATS gains oplog_* fields (committed log
 /// records/bytes, truncations, cold-start replay counters, health) for

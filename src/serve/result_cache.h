@@ -58,8 +58,7 @@ class ResultCache {
  public:
   static constexpr size_t kMaxEntries = 128;
 
-  /// Disabling (serve_main --no-result-cache, or a cache-off twin in
-  /// tests/bench) turns Lookup* into unconditional misses and Insert*
+  /// Disabling (a cache-off twin in tests/bench) turns Lookup* into unconditional misses and Insert*
   /// into no-ops, with no counter movement.
   void set_enabled(bool enabled);
   bool enabled() const;

@@ -77,6 +77,9 @@ TEST(FairKemenyTest, InfeasibleDeltaDetected) {
   options.delta = 0.5;
   FairKemenyResult r = FairKemenyAggregate(w, t, options);
   EXPECT_FALSE(r.feasible);
+  // Proven infeasibility still yields the repaired fallback ranking.
+  ASSERT_EQ(r.ranking.size(), 2);
+  EXPECT_TRUE(Ranking::IsValidOrder(r.ranking.order()));
 }
 
 TEST(FairKemenyTest, AttributeOnlyAblationLeavesIntersectionFree) {

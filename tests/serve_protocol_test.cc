@@ -214,6 +214,39 @@ TEST_F(ProtocolTest, EvalScoresARankingWithoutMutating) {
   EXPECT_EQ(Handle("EVAL t 5 4 3 2 1 0"), Handle("EVAL t 5 4 3 2 1 0"));
 }
 
+/// The consensus after " consensus=", as candidate ids.
+std::vector<int> ConsensusIds(const std::string& response) {
+  const size_t at = response.find(" consensus=");
+  if (at == std::string::npos) return {};
+  std::istringstream in(response.substr(at + 11));
+  std::vector<int> ids;
+  std::string id;
+  while (std::getline(in, id, ',')) ids.push_back(std::stoi(id));
+  return ids;
+}
+
+TEST_F(ProtocolTest, InfeasibleA1AnswersARepairedPermutation) {
+  // Fair-Kemeny proves the default delta infeasible here; A1 must still
+  // answer a full consensus (the repaired fallback, sat=0) — cold and
+  // from the result cache alike.
+  ASSERT_TRUE(IsOk(Handle("CREATE inf CYCLIC 6 2 2")));
+  ASSERT_TRUE(IsOk(Handle("APPEND inf 0 1 2 3 4 5")));
+  const std::string cold = Handle("RUN inf A1");
+  const std::string cached = Handle("RUN inf A1");
+  for (const std::string& response : {cold, cached}) {
+    ASSERT_EQ(response.rfind("OK RUN inf", 0), 0u) << response;
+    EXPECT_NE(response.find(" A1 sat=0 consensus="), std::string::npos)
+        << response;
+    std::vector<int> ids = ConsensusIds(response);
+    ASSERT_EQ(ids.size(), 6u) << response;
+    EXPECT_TRUE(Ranking::IsValidOrder(
+        std::vector<CandidateId>(ids.begin(), ids.end())))
+        << response;
+  }
+  EXPECT_EQ(cached, cold);
+  EXPECT_NE(Handle("STATS inf").find(" cache_hits=1 "), std::string::npos);
+}
+
 TEST_F(ProtocolTest, EvalRejectsBadInputsAndLeavesStateUnchanged) {
   const std::string before = StateSnapshot();
   const std::vector<std::pair<std::string, std::string>> cases = {
@@ -240,7 +273,7 @@ TEST_F(ProtocolTest, EvalRejectsBadInputsAndLeavesStateUnchanged) {
 }
 
 TEST_F(ProtocolTest, ReplicateIsUnavailableWithoutAStreamingFrontEnd) {
-  // The plain dispatcher (stdin / script / --serve replay) has no
+  // The plain dispatcher (stdin / --script replay) has no
   // durability layer and no binary stream to switch into: every arity
   // draws a single ERR line and no state moves.
   const std::string before = StateSnapshot();
