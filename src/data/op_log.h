@@ -31,7 +31,8 @@ namespace manirank {
 ///
 /// base_generation / base_rankings bind the log to the snapshot it
 /// chains from: a reader must refuse a log whose base does not match its
-/// floor (see serve_main's cold start, which additionally skips already-
+/// floor (see FloorChain in serve/durability.h — the rule cold start and
+/// follower catch-up share — which additionally skips already-
 /// snapshotted records when a crash landed between the snapshot write
 /// and the log truncation). One APPEND record corresponds to one applied
 /// coalesced batch — replaying record-by-record therefore reproduces not

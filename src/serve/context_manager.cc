@@ -83,13 +83,14 @@ void ContextManager::Create(const std::string& name, CandidateTable table,
     }
   }
   // Lifecycle ops serialize: with a durability hook attached, the floor
-  // write below and the Register must be one indivisible step per name —
+  // write below and the insert must be one indivisible step per name —
   // two racing CREATEs must not both write floors with only one winning
   // the map.
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   {
     // Fail duplicate names before paying for context construction over
-    // the whole initial profile (the emplace below re-checks the race).
+    // the whole initial profile (lifecycle_mu_ keeps the name free until
+    // the insert below).
     std::lock_guard<std::mutex> lock(mu_);
     if (shards_.count(name) != 0) {
       throw std::invalid_argument("table already exists: " + name);
@@ -103,19 +104,12 @@ void ContextManager::Create(const std::string& name, CandidateTable table,
       std::make_unique<ConsensusContext>(std::move(initial), *shard->table);
   shard->ctx->AttachGate(&shard->gate);
   shard->cache.set_enabled(cache_enabled_.load(std::memory_order_relaxed));
-  // Floor before Register: a table whose durability floor cannot be
+  // Floor before the insert: a table whose durability floor cannot be
   // written (the hook throws) must never become visible — nothing to
   // roll back.
   if (hook_ != nullptr) hook_->OnTableRegistered(name, BuildFloor(*shard));
-  Register(name, std::move(shard));
-}
-
-void ContextManager::Register(const std::string& name,
-                              std::shared_ptr<Shard> shard) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!shards_.emplace(name, std::move(shard)).second) {
-    throw std::invalid_argument("table already exists: " + name);
-  }
+  shards_.emplace(name, std::move(shard));
 }
 
 void ContextManager::Drop(const std::string& name) {
@@ -649,16 +643,21 @@ TableSnapshot ContextManager::SnapshotTable(const std::string& name,
 }
 
 TableStats ContextManager::RestoreTable(const std::string& name,
-                                        TableSnapshot snapshot) {
+                                        TableSnapshot snapshot,
+                                        TableRole role) {
   if (name.empty()) {
     throw std::invalid_argument("table name must be non-empty");
   }
+  const bool follower = role == TableRole::kFollower;
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+  bool replacing = false;
   {
     // Same early duplicate check as Create: fail before paying for
-    // context construction (Register re-checks the race).
+    // context construction. lifecycle_mu_ stays held until the swap
+    // below, so nothing else can register `name` in between.
     std::lock_guard<std::mutex> lock(mu_);
-    if (shards_.count(name) != 0) {
+    replacing = shards_.count(name) != 0;
+    if (replacing && !follower) {
       throw std::invalid_argument("table already exists: " + name);
     }
   }
@@ -683,11 +682,19 @@ TableStats ContextManager::RestoreTable(const std::string& name,
   shard->cache.set_enabled(cache_enabled_.load(std::memory_order_relaxed));
   shard->applied_batches = snapshot.applied_batches;
   shard->applied_rankings = snapshot.applied_rankings;
+  // Read-only before it is visible: no external mutation can ever land
+  // on a follower table, not even between the swap and a role change.
+  shard->follower.store(follower, std::memory_order_relaxed);
   TableStats stats = StatsFor(*shard);
-  // Floor before Register, exactly like Create — a restored table is a
-  // fresh durability chain (its snapshot file + empty log).
-  if (hook_ != nullptr) hook_->OnTableRegistered(name, BuildFloor(*shard));
-  Register(name, std::move(shard));
+  // Floor before the swap, exactly like Create — a restored table is a
+  // fresh durability chain (its snapshot file + empty log). A replaced
+  // table gets the same hook calls Drop + RestoreTable would make.
+  if (hook_ != nullptr) {
+    if (replacing) hook_->OnTableDropped(name);
+    hook_->OnTableRegistered(name, BuildFloor(*shard));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  shards_[name] = std::move(shard);
   return stats;
 }
 

@@ -191,7 +191,8 @@ enum class SnapshotMode {
 ///
 /// Lifecycle group — OnTableRegistered / OnTableDropped — runs under the
 /// manager's lifecycle lock, before the table becomes visible (resp.
-/// after it is gone). `floor` is the table's complete state at
+/// after it is gone — or, when a follower RestoreTable replaces it,
+/// just before the swap). `floor` is the table's complete state at
 /// registration (retained tables get an exact floor). OnTableRegistered
 /// MAY throw: the CREATE/RESTORE then fails cleanly with nothing
 /// registered — a table whose durability floor cannot be written is
@@ -338,12 +339,12 @@ class ContextManager {
   /// std::invalid_argument for unknown names.
   void SetTableRole(const std::string& name, TableRole role);
 
-  /// Applies one verified leader log record through the exact fold path
+  /// Applies one verified op-log record through the exact fold path
   /// Append/Remove use — enqueue, then drain under the exclusive gate,
-  /// one record per fold, so the follower's applied_batches bookkeeping
-  /// reproduces the leader's (the same property crash replay has).
-  /// Bypasses the follower readonly check: the replication session is
-  /// the only intended caller. Returns rankings applied.
+  /// one record per fold, so the table's applied_batches bookkeeping
+  /// reproduces the writer's. The one apply call of recovery: cold-start
+  /// replay (serve/durability.h) and follower catch-up both use it.
+  /// Bypasses the follower readonly check. Returns rankings applied.
   size_t ApplyReplicated(const std::string& name, OpRecord record);
 
   /// Publishes follower link progress for STATS: the last generation the
@@ -383,7 +384,13 @@ class ContextManager {
   /// O(|R| n^2) rebuild. Throws std::invalid_argument when the name is
   /// empty or taken ("table already exists", so clients can retry
   /// idempotently).
-  TableStats RestoreTable(const std::string& name, TableSnapshot snapshot);
+  ///
+  /// With role kFollower (a replication re-handshake) the table is
+  /// read-only before it becomes visible, and an existing table of that
+  /// name is replaced in the same lifecycle hold: readers see the old
+  /// table or the new one, never a gap or a writable replica.
+  TableStats RestoreTable(const std::string& name, TableSnapshot snapshot,
+                          TableRole role = TableRole::kLeader);
 
   /// The registry methods the named table can currently serve, in paper
   /// order: all eight for retained profiles, the precedence/Borda subset
@@ -494,9 +501,6 @@ class ContextManager {
   };
 
   std::shared_ptr<Shard> Find(const std::string& name) const;
-  /// Registers a fully built shard under `name`; throws
-  /// std::invalid_argument when the name is empty or taken.
-  void Register(const std::string& name, std::shared_ptr<Shard> shard);
   /// Validation + enqueue shared by Append and ApplyReplicated (the
   /// public verb adds the follower readonly check on top).
   TableStats EnqueueAppend(Shard& shard, std::vector<Ranking> rankings);
@@ -557,9 +561,9 @@ class ContextManager {
   /// Serializes table lifecycle (Create / RestoreTable / Drop) so the
   /// durability hook's floor files can never interleave with a racing
   /// lifecycle op on the same name — e.g. two concurrent CREATEs both
-  /// writing a floor before one loses the Register. Ordered strictly
-  /// outside mu_ (held across the dup-check, the hook call, and
-  /// Register/erase); per-table traffic never touches it.
+  /// writing a floor before one loses the insert. Ordered strictly
+  /// outside mu_ (held across the dup-check, the hook call, and the
+  /// insert/erase); per-table traffic never touches it.
   std::mutex lifecycle_mu_;
   /// Borrowed fold/lifecycle observer; nullptr when durability is off.
   /// Read without a lock on the fold path (see SetDurabilityHook).

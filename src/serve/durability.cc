@@ -19,16 +19,63 @@ namespace fs = std::filesystem;
 constexpr char kSnapshotExt[] = ".snap";
 constexpr char kLogExt[] = ".oplog";
 
-/// Profile-generation delta one replayed record contributes: the context
-/// bumps its generation once per ranking added or removed, so an APPEND
-/// of k rankings advances it by k and a REMOVE by 1. This is what makes
-/// the crash window healable: the snapshot's generation always lands on
-/// a cumulative record boundary, so the already-snapshotted prefix of an
-/// un-truncated log can be identified and skipped exactly.
-uint64_t GenerationDelta(const OpRecord& record) {
-  return record.kind == OpRecord::Kind::kRemove
-             ? 1
-             : static_cast<uint64_t>(record.rankings.size());
+/// The `<table>.snap` / `<table>.oplog` stems of one durability
+/// directory, in name order.
+struct DirScan {
+  std::set<std::string> snapshots;
+  std::set<std::string> logs;
+};
+
+/// The one directory scan behind every cold start (--restore-dir and
+/// --log-dir). A crashed writer's half-written temp file is unlinked:
+/// its rename never happened, so the content is garbage by
+/// construction, and skipping it alone would leak one file per crash
+/// forever. Throws std::runtime_error when the directory cannot be
+/// listed or a snapshot/log file's stem cannot name a table.
+DirScan ScanDurableDir(const std::string& dir,
+                       std::vector<std::string>* removed_temp_files) {
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec)) {
+    throw std::runtime_error("not a directory: " + dir);
+  }
+  DirScan scan;
+  try {
+    // increment(ec) lands ON the end iterator when it fails, so the
+    // error is only visible after the loop — without that check a
+    // readdir failure would silently serve a partial table set.
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      const fs::path path = it->path();
+      const std::string name = path.filename().string();
+      if (LooksLikeDurableTempFile(name)) {
+        std::error_code remove_ec;
+        fs::remove(path, remove_ec);
+        if (removed_temp_files != nullptr) {
+          removed_temp_files->push_back(path.string());
+        }
+        continue;
+      }
+      // Split on the raw filename, so the bare ".snap" dotfile yields the
+      // empty stem and fails below like "..snap" does.
+      const size_t dot = name.rfind('.');
+      const std::string ext = dot == std::string::npos ? "" : name.substr(dot);
+      std::set<std::string>* stems = ext == kSnapshotExt ? &scan.snapshots
+                                     : ext == kLogExt    ? &scan.logs
+                                                         : nullptr;
+      if (stems == nullptr) continue;
+      if (!IsDurableTableName(name.substr(0, dot))) {
+        throw std::runtime_error("cannot derive a table name from " +
+                                 path.string());
+      }
+      stems->insert(name.substr(0, dot));
+    }
+    if (ec) {
+      throw std::runtime_error("cannot list " + dir + ": " + ec.message());
+    }
+  } catch (const fs::filesystem_error& e) {
+    throw std::runtime_error("cannot list " + dir + ": " + e.what());
+  }
+  return scan;
 }
 
 /// Reads bytes [offset, offset + want) of `path`. Short results are
@@ -64,12 +111,80 @@ std::string SlurpWholeFile(const std::string& path) {
 
 }  // namespace
 
+FloorChain::FloorChain(std::string log_name, const TableStats& floor,
+                       uint64_t base_generation, uint64_t base_rankings)
+    : log_name_(std::move(log_name)),
+      floor_(floor.generation),
+      generation_(base_generation) {
+  if (base_generation > floor_) {
+    throw std::runtime_error(
+        log_name_ + " chains from generation " +
+        std::to_string(base_generation) +
+        ", newer than its snapshot floor (generation " +
+        std::to_string(floor_) + ") — unusable state");
+  }
+  if (base_generation == floor_ && base_rankings != floor.num_rankings) {
+    throw std::runtime_error(
+        log_name_ +
+        " and its snapshot floor disagree on the profile size at "
+        "generation " + std::to_string(floor_));
+  }
+}
+
+uint64_t FloorChain::GenerationDelta(const OpRecord& record) {
+  return record.kind == OpRecord::Kind::kRemove
+             ? 1
+             : static_cast<uint64_t>(record.rankings.size());
+}
+
+FloorChain::Step FloorChain::Next(const OpRecord& record) {
+  const uint64_t delta = GenerationDelta(record);
+  if (generation_ + delta <= floor_) {
+    generation_ += delta;
+    return Step::kSkip;
+  }
+  if (generation_ < floor_) {
+    throw std::runtime_error(
+        log_name_ + " has a record straddling the snapshot floor at "
+        "generation " + std::to_string(floor_) +
+        " — unusable state");
+  }
+  generation_ += delta;
+  return Step::kApply;
+}
+
 bool IsDurableTableName(const std::string& name) {
   if (name.empty() || name == "." || name == "..") return false;
   for (const char c : name) {
     if (c == '/' || c == '\\' || c == '\0') return false;
   }
   return true;
+}
+
+std::vector<DurabilityManager::RestoredTable> RestoreSnapshotDir(
+    const std::string& dir, ContextManager* manager,
+    std::vector<std::string>* removed_temp_files) {
+  const DirScan scan = ScanDurableDir(dir, removed_temp_files);
+  if (!scan.logs.empty()) {
+    throw std::runtime_error(
+        "found op log " + dir + "/" + *scan.logs.begin() + kLogExt +
+        ": this is a durability directory, and restoring only its "
+        "snapshots would drop every logged fold — start with --log-dir " +
+        dir + " instead");
+  }
+  std::vector<DurabilityManager::RestoredTable> restored;
+  for (const std::string& table : scan.snapshots) {
+    const std::string path = dir + "/" + table + kSnapshotExt;
+    try {
+      const TableStats stats =
+          manager->RestoreTable(table, ReadTableSnapshotFile(path));
+      restored.push_back({table, stats.summarized, stats.num_rankings});
+    } catch (const std::exception& e) {
+      throw std::runtime_error("failed to restore '" + table + "' from " +
+                               path + ": " + e.what());
+    }
+  }
+  return restored;
 }
 
 DurabilityManager::DurabilityManager(std::string dir, ContextManager* manager)
@@ -117,58 +232,18 @@ void DurabilityManager::MarkUnhealthy(Entry& entry, const std::string& error) {
 
 std::vector<DurabilityManager::RestoredTable> DurabilityManager::ColdStart(
     std::vector<std::string>* removed_temp_files) {
-  std::error_code ec;
-  if (!fs::is_directory(dir_, ec)) {
-    throw std::runtime_error("durability dir is not a directory: " + dir_);
-  }
-  std::set<std::string> snapshot_tables;
-  std::set<std::string> log_tables;
-  try {
-    fs::directory_iterator it(dir_, ec);
-    if (ec) {
-      throw std::runtime_error("cannot list durability dir " + dir_ + ": " +
-                               ec.message());
-    }
-    for (const fs::directory_iterator end; it != end; it.increment(ec)) {
-      const fs::path path = it->path();
-      const std::string filename = path.filename().string();
-      if (LooksLikeDurableTempFile(filename)) {
-        // A crashed writer's half-written temp: its rename never
-        // happened, so the content is garbage by construction. Skipping
-        // alone would leak one file per crash forever — unlink it.
-        fs::remove(path, ec);
-        if (removed_temp_files != nullptr) {
-          removed_temp_files->push_back(path.string());
-        }
-        continue;
-      }
-      const std::string stem = path.stem().string();
-      if (stem.empty() || !IsDurableTableName(stem)) continue;
-      if (path.extension() == kSnapshotExt) snapshot_tables.insert(stem);
-      if (path.extension() == kLogExt) log_tables.insert(stem);
-    }
-    if (ec) {
-      throw std::runtime_error("error while listing durability dir " + dir_ +
-                               ": " + ec.message());
-    }
-  } catch (const fs::filesystem_error& e) {
-    throw std::runtime_error(std::string("error while listing durability "
-                                         "dir: ") +
-                             e.what());
-  }
-  for (const std::string& table : log_tables) {
-    if (snapshot_tables.count(table) == 0) {
-      // Registration writes the snapshot floor strictly before creating
-      // the log, and Drop removes the log before... the pair is only
-      // ever snapshot-then-log. A log with no snapshot is therefore not
-      // a crash artifact — refuse to guess at its floor.
+  const DirScan scan = ScanDurableDir(dir_, removed_temp_files);
+  for (const std::string& table : scan.logs) {
+    if (scan.snapshots.count(table) == 0) {
+      // The floor is always written before its log, so a log with no
+      // snapshot is not a crash artifact — refuse to guess at its floor.
       throw std::runtime_error("orphaned op log (no snapshot floor): " +
                                LogPathFor(table));
     }
   }
   std::vector<RestoredTable> restored;
-  for (const std::string& table : snapshot_tables) {
-    restored.push_back(RestoreOne(table, log_tables.count(table) != 0));
+  for (const std::string& table : scan.snapshots) {
+    restored.push_back(RestoreOne(table, scan.logs.count(table) != 0));
   }
   return restored;
 }
@@ -179,12 +254,9 @@ DurabilityManager::RestoredTable DurabilityManager::RestoreOne(
   report.table = table;
   TableSnapshot snapshot = ReadTableSnapshotFile(SnapshotPathFor(table));
   const int n = snapshot.table.num_candidates();
-  const uint64_t floor_generation = snapshot.summary.generation;
-  const uint64_t floor_rankings =
-      static_cast<uint64_t>(snapshot.summary.num_rankings);
-  report.snapshot_rankings = floor_rankings;
-  const TableStats stats = manager_->RestoreTable(table, std::move(snapshot));
-  report.summarized = stats.summarized;
+  const TableStats floor = manager_->RestoreTable(table, std::move(snapshot));
+  report.snapshot_rankings = floor.num_rankings;
+  report.summarized = floor.summarized;
 
   auto entry = std::make_shared<Entry>();
   entry->last_truncation = Clock::now();
@@ -193,7 +265,7 @@ DurabilityManager::RestoredTable DurabilityManager::RestoreOne(
     // and the log creation (or an operator copied a bare snapshot in).
     // Start a fresh chain from the floor.
     entry->writer = OpLogWriter::Create(LogPathFor(table), n,
-                                        floor_generation, floor_rankings);
+                                        floor.generation, floor.num_rankings);
   } else {
     OpLogContents contents;
     // OpenExisting validates the header, finds the clean tail, truncates
@@ -202,53 +274,17 @@ DurabilityManager::RestoredTable DurabilityManager::RestoreOne(
     entry->writer =
         OpLogWriter::OpenExisting(LogPathFor(table), n, &contents);
     report.torn_tail = contents.torn_tail;
-    if (contents.base_generation > floor_generation) {
-      throw std::runtime_error(
-          "op log " + LogPathFor(table) +
-          " chains from generation " +
-          std::to_string(contents.base_generation) +
-          ", newer than its snapshot floor (generation " +
-          std::to_string(floor_generation) + ") — unusable state");
-    }
-    if (contents.base_generation == floor_generation &&
-        contents.base_rankings != floor_rankings) {
-      throw std::runtime_error(
-          "op log " + LogPathFor(table) +
-          " and its snapshot floor disagree on the profile size at "
-          "generation " + std::to_string(floor_generation));
-    }
+    FloorChain chain("op log " + LogPathFor(table), floor,
+                     contents.base_generation, contents.base_rankings);
     const auto start = Clock::now();
-    // base < floor happens when the crash hit between the snapshot write
-    // and the log truncation: the log's head records are already folded
-    // into the floor. Skip them by cumulative generation — the floor was
-    // taken at a fold boundary, so it always lands between records.
-    uint64_t generation = contents.base_generation;
     for (OpRecord& record : contents.records) {
-      const uint64_t delta = GenerationDelta(record);
-      if (generation + delta <= floor_generation) {
-        generation += delta;
+      if (chain.Next(record) == FloorChain::Step::kSkip) {
         ++report.skipped_records;
         continue;
       }
-      if (generation < floor_generation) {
-        throw std::runtime_error(
-            "op log " + LogPathFor(table) +
-            " has a record straddling the snapshot boundary at "
-            "generation " + std::to_string(floor_generation) +
-            " — unusable state");
-      }
+      report.replayed_rankings += record.rankings.size();
       try {
-        if (record.kind == OpRecord::Kind::kRemove) {
-          manager_->Remove(table, record.remove_index);
-        } else {
-          report.replayed_rankings += record.rankings.size();
-          manager_->Append(table, std::move(record.rankings));
-        }
-        // One Flush per record reproduces the shard's applied_batches /
-        // applied_rankings bookkeeping exactly: each record was one
-        // applied coalesced batch (or one remove) in the original
-        // process, and becomes exactly one here.
-        manager_->Flush(table);
+        manager_->ApplyReplicated(table, std::move(record));
       } catch (const std::exception& e) {
         // The record passed its checksum, so this is not a torn tail —
         // a checksum-valid record the manager rejects means the log does
@@ -258,14 +294,12 @@ DurabilityManager::RestoredTable DurabilityManager::RestoreOne(
                                  std::to_string(report.replayed_records) +
                                  ": " + e.what());
       }
-      generation += delta;
       ++report.replayed_records;
     }
     report.replay_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count();
     entry->replayed_records = report.replayed_records;
-    entry->replayed_rankings = report.replayed_rankings;
     entry->replay_ms = report.replay_ms;
   }
   {
@@ -379,15 +413,11 @@ size_t DurabilityManager::RunDuePolicies() {
             break;
           }
           uint64_t generation = 0;
-          size_t rankings = 0;
           try {
-            const TableStats stats = manager_->Stats(table);
-            generation = stats.generation;
-            rankings = stats.num_rankings;
+            generation = manager_->Stats(table).generation;
           } catch (const std::exception&) {
             break;  // dropped concurrently; the entry is on its way out
           }
-          (void)rankings;
           if (generation >= entry->writer->base_generation() +
                                 entry->policy.every_generations) {
             due.push_back(table);
@@ -428,7 +458,6 @@ std::optional<DurabilityManager::TableDurability> DurabilityManager::StatsFor(
   }
   out.truncations = entry->truncations;
   out.replayed_records = entry->replayed_records;
-  out.replayed_rankings = entry->replayed_rankings;
   out.replay_ms = entry->replay_ms;
   out.healthy = entry->healthy;
   out.policy = entry->policy;
@@ -550,49 +579,34 @@ DurabilityManager::ReplicationPoll DurabilityManager::PollReplication(
 
 // --- DurabilityHook ---------------------------------------------------------
 
-void DurabilityManager::LogAppend(const std::string& table,
-                                  const std::vector<Ranking>& batch) {
+template <typename Fn>
+void DurabilityManager::WithWriter(const std::string& table, Fn&& fn) {
   const std::shared_ptr<Entry> entry = FindEntry(table);
   if (entry == nullptr) return;
   std::lock_guard<std::mutex> lock(entry->mu);
   if (entry->writer == nullptr) return;  // unhealthy: chain already broken
   try {
-    entry->writer->BufferAppend(batch);
+    fn(*entry->writer);
   } catch (const std::exception& e) {
     MarkUnhealthy(*entry, e.what());
   }
+}
+
+void DurabilityManager::LogAppend(const std::string& table,
+                                  const std::vector<Ranking>& batch) {
+  WithWriter(table, [&](OpLogWriter& w) { w.BufferAppend(batch); });
 }
 
 void DurabilityManager::LogRemove(const std::string& table, uint64_t index) {
-  const std::shared_ptr<Entry> entry = FindEntry(table);
-  if (entry == nullptr) return;
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->writer == nullptr) return;
-  try {
-    entry->writer->BufferRemove(index);
-  } catch (const std::exception& e) {
-    MarkUnhealthy(*entry, e.what());
-  }
+  WithWriter(table, [&](OpLogWriter& w) { w.BufferRemove(index); });
 }
 
 void DurabilityManager::AbortLastOp(const std::string& table) {
-  const std::shared_ptr<Entry> entry = FindEntry(table);
-  if (entry == nullptr) return;
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->writer == nullptr) return;
-  entry->writer->AbortLast();
+  WithWriter(table, [](OpLogWriter& w) { w.AbortLast(); });
 }
 
 void DurabilityManager::CommitFold(const std::string& table) {
-  const std::shared_ptr<Entry> entry = FindEntry(table);
-  if (entry == nullptr) return;
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->writer == nullptr) return;
-  try {
-    entry->writer->Commit();
-  } catch (const std::exception& e) {
-    MarkUnhealthy(*entry, e.what());
-  }
+  WithWriter(table, [](OpLogWriter& w) { w.Commit(); });
 }
 
 void DurabilityManager::OnTableRegistered(const std::string& table,

@@ -1,6 +1,7 @@
 #ifndef MANIRANK_SERVE_DURABILITY_H_
 #define MANIRANK_SERVE_DURABILITY_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -14,6 +15,42 @@
 #include "serve/context_manager.h"
 
 namespace manirank::serve {
+
+/// The one rule that chains an op log onto its snapshot floor, shared by
+/// cold-start replay and follower catch-up. Construction checks the log
+/// header: it refuses a log whose base is newer than the floor, or at
+/// the floor's generation with a different ranking count. Each record is
+/// then skipped (already inside the floor — the crash window between a
+/// snapshot write and the log truncation leaves such records at the head
+/// of the log), applied, or refused (it straddles the floor). Refusals
+/// throw std::runtime_error naming `log_name`.
+class FloorChain {
+ public:
+  enum class Step { kSkip, kApply };
+
+  /// `floor` is the restored table's stats; `base_*` the log header's.
+  FloorChain(std::string log_name, const TableStats& floor,
+             uint64_t base_generation, uint64_t base_rankings);
+
+  /// Classifies the next record in log order and advances the chain.
+  Step Next(const OpRecord& record);
+
+  /// Generation of the table after the records seen so far (the floor's
+  /// until the log passes it).
+  uint64_t generation() const { return std::max(generation_, floor_); }
+
+ private:
+  /// Profile-generation delta of one record: the context bumps its
+  /// generation once per ranking added or removed, so an APPEND of k
+  /// rankings advances it by k and a REMOVE by 1. A snapshot is taken at
+  /// a fold boundary, so the floor always lands on a cumulative record
+  /// boundary and the skip rule is exact.
+  static uint64_t GenerationDelta(const OpRecord& record);
+
+  const std::string log_name_;
+  const uint64_t floor_;  ///< the floor's generation
+  uint64_t generation_;
+};
 
 /// Exact-profile durability for a ContextManager: every table gets a
 /// snapshot *floor* (`<dir>/<table>.snap`, format v2 — exact for
@@ -31,8 +68,7 @@ namespace manirank::serve {
 /// table's exclusive gate is held — so a crash anywhere in the window
 /// leaves either {old floor, old log} or {new floor, old log} or
 /// {new floor, new log}; the middle state is healed at cold start by
-/// skipping the already-snapshotted prefix of the log (record generation
-/// deltas make the boundary exact).
+/// FloorChain's skip rule.
 ///
 /// Failure policy: a log write/fsync failure marks the table UNHEALTHY —
 /// serving continues (in-memory state is authoritative), the log is
@@ -68,13 +104,13 @@ class DurabilityManager : public DurabilityHook {
     uint64_t log_bytes = 0;     ///< durable bytes in the current log
     uint64_t truncations = 0;   ///< snapshot truncations since startup
     uint64_t replayed_records = 0;   ///< records replayed at cold start
-    uint64_t replayed_rankings = 0;  ///< rankings inside those records
     double replay_ms = 0.0;          ///< cold-start replay wall time
     bool healthy = true;
     Policy policy;
   };
 
-  /// One table's cold-start outcome (ColdStart's report).
+  /// One table's cold-start outcome (ColdStart's and RestoreSnapshotDir's
+  /// report; the latter replays nothing).
   struct RestoredTable {
     std::string table;
     bool summarized = false;  ///< restored without the retained profile
@@ -100,8 +136,9 @@ class DurabilityManager : public DurabilityHook {
   /// skipped — reported through `removed_temp_files` when given. Must
   /// run BEFORE Attach (the hook must not observe its own replay);
   /// throws std::runtime_error on unusable state — an orphaned op log
-  /// with no snapshot, a log that does not chain from its snapshot, or
-  /// a corrupt (not merely torn) file. A torn log tail is NOT an error:
+  /// with no snapshot, a log that does not chain from its snapshot (see
+  /// FloorChain), a `.snap` / `.oplog` file whose stem cannot name a
+  /// table, or a corrupt (not merely torn) file. A torn log tail is NOT an error:
   /// it is truncated, reported in the result, and recovery proceeds
   /// from the clean prefix.
   std::vector<RestoredTable> ColdStart(
@@ -202,7 +239,6 @@ class DurabilityManager : public DurabilityHook {
     std::string last_error;
     uint64_t truncations = 0;
     uint64_t replayed_records = 0;
-    uint64_t replayed_rankings = 0;
     double replay_ms = 0.0;
     Clock::time_point last_truncation;
   };
@@ -212,7 +248,13 @@ class DurabilityManager : public DurabilityHook {
   std::shared_ptr<Entry> FindEntry(const std::string& table) const;
   /// Marks the entry unhealthy and closes its writer (fold path).
   static void MarkUnhealthy(Entry& entry, const std::string& error);
-  /// Restores one scanned table (ColdStart body).
+  /// Fold-path hook body: runs `fn` on the table's writer under its
+  /// entry lock; no-op without a healthy writer, and a throw marks the
+  /// table unhealthy.
+  template <typename Fn>
+  void WithWriter(const std::string& table, Fn&& fn);
+  /// Restores one scanned table (ColdStart body): the snapshot floor,
+  /// then the log replayed through FloorChain and ApplyReplicated.
   RestoredTable RestoreOne(const std::string& table, bool has_log);
   /// Entry lookup that inserts a fresh entry when absent.
   std::shared_ptr<Entry> FindOrCreateEntry(const std::string& table);
@@ -227,6 +269,19 @@ class DurabilityManager : public DurabilityHook {
 /// path separators or NUL, not "." / "..". Tables failing this cannot be
 /// created while durability is attached (the floor write refuses).
 bool IsDurableTableName(const std::string& name);
+
+/// Snapshot-only cold start (manirank_serve --restore-dir): restores every
+/// `<dir>/<table>.snap` as a summarized-or-exact table named after its
+/// stem, in name order, with no log replay. Uses the same directory scan
+/// as DurabilityManager::ColdStart: crashed-writer temp files are
+/// unlinked (reported through `removed_temp_files` when given) and a
+/// stem that cannot name a table fails. Throws std::runtime_error on the
+/// first failure — including any `<table>.oplog` in `dir`: that is a
+/// durability directory, and restoring only its floors would silently
+/// drop every logged fold.
+std::vector<DurabilityManager::RestoredTable> RestoreSnapshotDir(
+    const std::string& dir, ContextManager* manager,
+    std::vector<std::string>* removed_temp_files = nullptr);
 
 }  // namespace manirank::serve
 

@@ -377,10 +377,6 @@ uint64_t ServeExecutor::requests_served() const {
   return requests_served_.load();
 }
 
-uint64_t ServeExecutor::requests_parked() const {
-  return requests_parked_.load();
-}
-
 bool ServeExecutor::Start(std::string* error) {
   if (started_) {
     if (error != nullptr) *error = "executor already started";
@@ -1180,7 +1176,6 @@ void ServeExecutor::DispatchLocked(Request* node) {
     // observer fires, and the observer takes sched_mu_, so it cannot
     // run between our check and this insertion.
     parked_[node->table].push_back(node);
-    requests_parked_.fetch_add(1);
     if (node->conn->loop != nullptr) {
       ++node->conn->loop->shadow.parked_drains;
       node->conn->loop->PublishLocked();

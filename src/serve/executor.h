@@ -217,9 +217,6 @@ class ServeExecutor {
   const char* poller_name() const { return PollerBackendName(backend_); }
   /// Requests whose responses were completed (diagnostics).
   uint64_t requests_served() const;
-  /// Requests parked on the IsDraining hook instead of blocking a
-  /// worker (diagnostics).
-  uint64_t requests_parked() const;
 
  private:
   struct Conn;
@@ -338,7 +335,6 @@ class ServeExecutor {
   std::unordered_map<Conn*, std::shared_ptr<Conn>> repl_conns_;
 
   std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> requests_parked_{0};
   /// SchedulePolicyEval dedup flag (see its comment).
   std::atomic<bool> policy_eval_scheduled_{false};
 };

@@ -7,15 +7,19 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "data/op_log.h"
 #include "data/snapshot.h"
+#include "serve/durability.h"
 
 namespace manirank::serve {
 namespace {
@@ -25,17 +29,6 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 #else
 constexpr int kSendFlags = 0;
 #endif
-
-/// Same delta rule the leader's crash-window healing uses (see
-/// serve/durability.cc): the context bumps its generation once per
-/// ranking added or removed, so the snapshot floor always lands on a
-/// cumulative record boundary and the already-folded prefix of the
-/// streamed log can be identified and skipped exactly.
-uint64_t GenerationDelta(const OpRecord& record) {
-  return record.kind == OpRecord::Kind::kRemove
-             ? 1
-             : static_cast<uint64_t>(record.rankings.size());
-}
 
 bool SendAllFd(int fd, const std::string& bytes) {
   size_t sent = 0;
@@ -148,14 +141,6 @@ void FollowerClient::Shutdown() {
     if (session->thread.joinable()) session->thread.join();
   }
   started_ = false;
-}
-
-std::vector<std::string> FollowerClient::ReplicatedTables() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(sessions_.size());
-  for (const auto& [name, session] : sessions_) names.push_back(name);
-  return names;
 }
 
 int FollowerClient::ConnectToLeader() {
@@ -296,114 +281,66 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
   while (buffer.size() < snapshot_bytes) {
     if (!ReadMoreFd(fd, &buffer, total_bytes)) return;
   }
-  // Swap the new floor in. Handshakes re-ship the complete state, so a
-  // re-handshake (rotation, torn stream, reconnect) replaces the table
-  // rather than patching it — the one-code-path property: what follows
-  // is exactly cold start's floor + replay.
-  uint64_t floor_generation = 0;
-  uint64_t floor_rankings = 0;
   try {
+    // Swap the new floor in. Handshakes re-ship the complete state, so a
+    // re-handshake (rotation, torn stream, reconnect) replaces the table
+    // rather than patching it — the one-code-path property: what follows
+    // is exactly cold start's floor + FloorChain replay + ApplyReplicated.
     std::istringstream is(buffer.substr(0, snapshot_bytes));
-    TableSnapshot snapshot = ReadTableSnapshot(is);
-    floor_generation = snapshot.summary.generation;
-    floor_rankings = static_cast<uint64_t>(snapshot.summary.num_rankings);
-    if (manager_->Has(table)) manager_->Drop(table);
-    manager_->RestoreTable(table, std::move(snapshot));
-    manager_->SetTableRole(table, TableRole::kFollower);
-  } catch (const std::exception& e) {
-    Log("follower: table '" + table + "': cannot restore floor: " +
-        e.what());
-    return;
-  }
-  buffer.erase(0, snapshot_bytes);
-  if (floor_generation > *leader_generation) {
-    *leader_generation = floor_generation;
-  }
-  manager_->SetReplicaProgress(table, *leader_generation, *total_bytes,
-                               true);
-  Log("follower: table '" + table + "': restored floor at generation " +
-      std::to_string(floor_generation) + " (" +
-      std::to_string(floor_rankings) + " rankings), replaying log");
-  // Everything after the floor is one continuous op-log byte stream:
-  // the committed prefix from the handshake, then records as the leader
-  // folds them. One cursor verifies it all — the same verifier cold
-  // start and crash recovery use.
-  OpLogCursor cursor("replication stream of table '" + table + "'");
-  uint64_t generation = 0;
-  bool chain_checked = false;
-  bool caught_up = false;
-  try {
+    const TableStats floor = manager_->RestoreTable(
+        table, ReadTableSnapshot(is), TableRole::kFollower);
+    buffer.erase(0, snapshot_bytes);
+    *leader_generation = std::max(*leader_generation, floor.generation);
+    manager_->SetReplicaProgress(table, *leader_generation, *total_bytes,
+                                 true);
+    Log("follower: table '" + table + "': restored floor at generation " +
+        std::to_string(floor.generation) + " (" +
+        std::to_string(floor.num_rankings) + " rankings), replaying log");
+    // Everything after the floor is one continuous op-log byte stream:
+    // the committed prefix from the handshake, then records as the leader
+    // folds them. One cursor verifies it all — the same verifier cold
+    // start and crash recovery use.
+    const std::string stream = "replication stream of table '" + table + "'";
+    OpLogCursor cursor(stream);
+    std::optional<FloorChain> chain;  // built once the log header arrives
+    bool caught_up = false;
     for (;;) {
-      if (!buffer.empty()) {
-        cursor.Feed(buffer.data(), buffer.size());
-        buffer.clear();
-      }
+      cursor.Feed(buffer.data(), buffer.size());
+      buffer.clear();
       for (;;) {
         OpRecord record;
         const OpLogCursor::Status status = cursor.Next(&record);
+        if (cursor.header_ready() && !chain.has_value()) {
+          chain.emplace(stream, floor, cursor.base_generation(),
+                        cursor.base_rankings());
+        }
         if (status == OpLogCursor::Status::kNeedMore) break;
         if (status == OpLogCursor::Status::kTorn) {
           // A mid-stream frame that can never verify: the link corrupted
-          // it (the leader only ships committed bytes). Reconnect for a
-          // fresh handshake.
-          Log("follower: table '" + table + "': torn stream (" +
-              cursor.TornDetail() + "), re-handshaking");
-          return;
+          // it (the leader only ships committed bytes).
+          throw std::runtime_error("torn stream (" + cursor.TornDetail() +
+                                   ")");
         }
-        if (!chain_checked) {
-          chain_checked = true;
-          if (cursor.base_generation() > floor_generation) {
-            Log("follower: table '" + table +
-                "': streamed log chains from generation " +
-                std::to_string(cursor.base_generation()) +
-                ", newer than its snapshot floor — re-handshaking");
-            return;
-          }
-          if (cursor.base_generation() == floor_generation &&
-              cursor.base_rankings() != floor_rankings) {
-            Log("follower: table '" + table +
-                "': streamed log and snapshot floor disagree on the "
-                "profile size — re-handshaking");
-            return;
-          }
-          generation = cursor.base_generation();
-        }
-        const uint64_t delta = GenerationDelta(record);
-        if (generation + delta <= floor_generation) {
-          // Already folded into the floor (the leader's crash window
-          // leaves such records at the head of its on-disk log).
-          generation += delta;
-          continue;
-        }
-        if (generation < floor_generation) {
-          Log("follower: table '" + table +
-              "': streamed record straddles the snapshot boundary — "
-              "re-handshaking");
-          return;
-        }
-        generation += delta;
-        *leader_generation = generation;
-        manager_->SetReplicaProgress(table, generation, *total_bytes, true);
+        if (chain->Next(record) == FloorChain::Step::kSkip) continue;
+        *leader_generation = chain->generation();
+        manager_->SetReplicaProgress(table, *leader_generation, *total_bytes,
+                                     true);
         manager_->ApplyReplicated(table, std::move(record));
       }
-      if (!caught_up && cursor.header_ready() &&
+      if (!caught_up && chain.has_value() &&
           cursor.clean_bytes() + cursor.pending_bytes() >= log_bytes) {
         caught_up = true;
         Log("follower: table '" + table + "': caught up at generation " +
-            std::to_string(generation == 0 && !chain_checked
-                               ? floor_generation
-                               : generation) +
-            ", tailing the leader");
+            std::to_string(chain->generation()) + ", tailing the leader");
       }
       if (!ReadMoreFd(fd, &buffer, total_bytes)) return;  // EOF: reconnect
     }
   } catch (const std::exception& e) {
-    // OpLogFormatError (bad stream header) or an apply rejection (the
-    // table was dropped/replaced locally): drop the link and retry with
-    // a fresh handshake.
+    // A floor that cannot restore, a torn or non-chaining stream
+    // (FloorChain), a bad stream header, or an apply rejection: drop the
+    // link and retry with a fresh handshake.
     Log("follower: table '" + table + "': stream failed: " + e.what() +
         " — re-handshaking");
-    return;
   }
 }
 

@@ -8,10 +8,11 @@
 /// per table. Each stream ships the table's v2 snapshot floor plus the
 /// committed op log (serve/protocol.h documents the wire format — the
 /// exact on-disk byte format, FNV-1a checksums and all), which the
-/// session verifies with the same OpLogCursor cold start uses and folds
-/// through ContextManager::ApplyReplicated — one record per fold, the
-/// same discipline crash replay has. Cold start, crash recovery, and
-/// follower catch-up are therefore ONE verification + apply path.
+/// session verifies with the same OpLogCursor cold start uses, chains
+/// onto the floor with the same FloorChain rule (serve/durability.h), and
+/// folds through ContextManager::ApplyReplicated — one record per fold,
+/// the call crash replay makes. Cold start, crash recovery, and follower
+/// catch-up are therefore ONE verification + chain + apply path.
 ///
 /// Replicated tables are registered as followers (TableRole::kFollower):
 /// external mutations draw "ERR readonly:", while RUN / STATS / EVAL
@@ -23,8 +24,10 @@
 /// attempts the follower keeps serving its last consistently folded
 /// state; STATS surfaces replica_connected=0 and the last observed
 /// leader generation so the staleness is bounded AND observable. A
-/// re-handshake atomically (Drop + Restore under the manager's lifecycle
-/// lock) replaces the table with the new floor before replaying.
+/// re-handshake replaces the table with the new floor before replaying,
+/// in one RestoreTable(..., TableRole::kFollower) call: a single
+/// lifecycle-lock hold that swaps the map entry, with the new table
+/// read-only before it is visible.
 
 #if defined(__unix__) || defined(__APPLE__)
 #ifndef MANIRANK_SERVE_HAVE_SOCKETS
@@ -43,7 +46,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "serve/context_manager.h"
 
@@ -83,9 +85,6 @@ class FollowerClient {
   /// state (still marked followers).
   void Shutdown();
 
-  /// Names with an active replication session thread (diagnostics).
-  std::vector<std::string> ReplicatedTables() const;
-
  private:
   struct Session {
     std::thread thread;
@@ -112,7 +111,7 @@ class FollowerClient {
   Options options_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
-  mutable std::mutex mu_;  ///< guards sessions_ and every Session::fd
+  std::mutex mu_;  ///< guards sessions_ and every Session::fd
   std::unordered_map<std::string, std::unique_ptr<Session>> sessions_;
   std::thread discover_thread_;
   int discover_fd_ = -1;  ///< guarded by mu_

@@ -29,7 +29,9 @@
 //                                       MANIRANK_POLLER env var picks the
 //                                       readiness backend (epoll|poll|auto)
 //   manirank_serve --restore-dir DIR    cold start: restore every *.snap table
-//                                       snapshot in DIR before serving
+//                                       snapshot in DIR before serving (a
+//                                       DIR holding *.oplog files is a
+//                                       --log-dir directory: refused)
 //   manirank_serve --log-dir DIR        exact-profile durability: cold-start
 //                                       every DIR/<table>.snap + .oplog pair
 //                                       (snapshot floor, then op-log replay —
@@ -48,8 +50,10 @@
 // --restore-dir combines with any serving mode: each DIR/<name>.snap is
 // restored as table <name> (data/snapshot.h format) without replaying its
 // profile, so a restarted server resumes serving where SNAPSHOT left off.
-// A corrupt or unreadable snapshot aborts startup loudly (exit 2) rather
-// than silently serving a partial table set.
+// A corrupt or unreadable snapshot, a file name that cannot name a table,
+// or any DIR/<name>.oplog aborts startup loudly (exit 2) rather than
+// silently serving a partial or stale table set — restoring only the
+// floors of a --log-dir directory would drop every logged fold.
 //
 // --log-dir layers exact durability on top (serve/durability.h): ops are
 // appended to DIR/<table>.oplog at fold boundaries (one fsync per fold)
@@ -57,8 +61,10 @@
 // table — a torn log tail from a crash is truncated and reported, a
 // corrupt or non-chaining file aborts startup (exit 2). It combines with
 // --restore-dir (the snapshots restore first; durability then writes
-// fresh floors for them) unless both name the same table. Leftover
-// durable-write temp files from a crashed writer are removed at startup.
+// fresh floors for them) unless both name the same table. Both flags scan
+// their directory the same way (serve/durability.cc): leftover
+// durable-write temp files from a crashed writer are removed, and a
+// *.snap / *.oplog name that cannot name a table aborts startup.
 //
 // Shutdown: SIGINT or SIGTERM stops the TCP server gracefully — the
 // listener closes, no new requests are read, every in-flight request
@@ -71,20 +77,15 @@
 // modes), 2 on usage or I/O errors — including the output stream dying
 // mid-response in stdin/script mode.
 
-#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "data/durable_file.h"
-#include "data/snapshot.h"
 #include "serve/context_manager.h"
 #include "serve/durability.h"
 #include "serve/executor.h"
@@ -108,7 +109,8 @@ int Usage() {
                "                      [--restore-dir DIR]\n"
                "                      [--log-dir DIR] [--echo]\n"
                "  (no mode flag: serve requests from stdin; --restore-dir\n"
-               "   cold-starts every DIR/<table>.snap before serving;\n"
+               "   cold-starts every DIR/<table>.snap before serving and\n"
+               "   refuses a DIR holding op logs (use --log-dir there);\n"
                "   --log-dir adds exact-profile durability: op-log replay\n"
                "   at cold start, fold logging and SNAPSHOT-POLICY while\n"
                "   serving; --port serves the async executor pipeline\n"
@@ -117,21 +119,24 @@ int Usage() {
   return 2;
 }
 
-/// Cold-starts the durability layer: replays every DIR/<table>.snap (+
-/// optional .oplog tail) into the manager and reports each outcome.
-/// Returns false (after reporting) on unusable state — the server must
-/// not come up serving less than what was durably written.
-bool DurableColdStart(manirank::serve::DurabilityManager* durability) {
+/// Runs one cold start — `cold_start` is RestoreSnapshotDir for
+/// --restore-dir, DurabilityManager::ColdStart for --log-dir (both in
+/// serve/durability.h) — and reports each outcome to stderr. Returns
+/// false (after reporting) on unusable state: the server must not come
+/// up serving less than what was written, or serving it stale.
+template <typename ColdStartFn>
+bool ColdStart(const char* flag, const std::string& dir,
+               ColdStartFn cold_start) {
   std::vector<std::string> removed_temps;
   std::vector<manirank::serve::DurabilityManager::RestoredTable> restored;
   try {
-    restored = durability->ColdStart(&removed_temps);
+    restored = cold_start(&removed_temps);
   } catch (const std::exception& e) {
-    std::cerr << "--log-dir: cold start failed: " << e.what() << "\n";
+    std::cerr << flag << ": cold start failed: " << e.what() << "\n";
     return false;
   }
   for (const std::string& temp : removed_temps) {
-    std::cerr << "--log-dir: removed leftover temp file " << temp << "\n";
+    std::cerr << flag << ": removed leftover temp file " << temp << "\n";
   }
   for (const auto& table : restored) {
     std::cerr << "restored table '" << table.table << "' ("
@@ -144,120 +149,11 @@ bool DurableColdStart(manirank::serve::DurabilityManager* durability) {
                 << " already-snapshotted records skipped";
     }
     if (table.summarized) std::cerr << ", summarized";
-    std::cerr << ") from " << durability->dir() << "\n";
+    std::cerr << ") from " << dir << "\n";
     if (!table.torn_tail.empty()) {
-      std::cerr << "--log-dir: table '" << table.table
+      std::cerr << flag << ": table '" << table.table
                 << "': torn op-log tail truncated: " << table.torn_tail
                 << "\n";
-    }
-  }
-  return true;
-}
-
-/// Cold-start: restores every `*.snap` in `dir` as a table named after the
-/// file's stem. Returns false (after reporting to stderr) on the first
-/// failure — a server must not come up silently missing tables.
-bool RestoreFromDir(const std::string& dir, ContextManager* manager) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) {
-    std::cerr << "--restore-dir: not a directory: " << dir << "\n";
-    return false;
-  }
-  // Deterministic restore order (directory iteration order is not).
-  // The iterator is advanced with the error_code overload AND wrapped in
-  // a try block: directory_iterator::increment may still throw (e.g.
-  // allocation failure, or implementations that throw from refresh), and
-  // an unhandled exception here would crash the whole cold start instead
-  // of reporting which directory failed.
-  std::vector<fs::path> snapshots;
-  try {
-    fs::directory_iterator it(dir, ec);
-    if (ec) {
-      std::cerr << "--restore-dir: cannot list " << dir << ": "
-                << ec.message() << "\n";
-      return false;
-    }
-    for (const fs::directory_iterator end; it != end; it.increment(ec)) {
-      const fs::path& path = it->path();
-      // A leftover durable-write temp file (`*.tmp.<pid>.<seq>`) means a
-      // writer crashed between the temp write and the rename: it is
-      // never a table, and the rename never happened, so deleting it is
-      // always safe. Skipping without deleting would leak one file per
-      // crash forever.
-      if (manirank::LooksLikeDurableTempFile(path.filename().string())) {
-        std::error_code remove_ec;
-        fs::remove(path, remove_ec);
-        std::cerr << "--restore-dir: removed leftover temp file "
-                  << path.string()
-                  << (remove_ec ? " (remove failed: " + remove_ec.message() +
-                                      ")"
-                                : "")
-                  << "\n";
-        continue;
-      }
-      // A file named exactly ".snap" is a dotfile to the filesystem
-      // library (no extension, or an empty stem, depending on the
-      // implementation): there is no table name to restore it as. Fail
-      // loudly instead of either skipping the snapshot or passing an
-      // empty name to RestoreTable.
-      if (path.filename() == ".snap") {
-        std::cerr << "--restore-dir: cannot derive a table name from "
-                  << path.string() << " (empty stem)\n";
-        return false;
-      }
-      if (path.extension() == ".snap") snapshots.push_back(path);
-    }
-    // A failed increment(ec) lands the iterator ON the end iterator, so
-    // the loop above simply stops — the error is only visible here.
-    // Without this check a readdir-level failure mid-listing would skip
-    // the unlisted snapshots and silently serve a partial table set.
-    if (ec) {
-      std::cerr << "--restore-dir: error while listing " << dir << ": "
-                << ec.message() << "\n";
-      return false;
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "--restore-dir: error while listing " << dir << ": "
-              << e.what() << "\n";
-    return false;
-  }
-  std::sort(snapshots.begin(), snapshots.end());
-  // Validate the derived table names up front: a file whose stem is
-  // empty (or all dots — "..snap" stems to ".") cannot name a table, and
-  // two files mapping to one stem would silently shadow each other. Both
-  // must fail the cold start with a message naming the offending file,
-  // not a late RestoreTable error naming only the table. (With today's
-  // exact-case ".snap" filter one directory cannot actually produce two
-  // equal stems; the duplicate check is cheap insurance for the day the
-  // collection rule widens — case-insensitive match, multiple dirs.)
-  std::set<std::string> stems;
-  for (const fs::path& path : snapshots) {
-    const std::string table = path.stem().string();
-    if (table.empty() ||
-        table.find_first_not_of('.') == std::string::npos) {
-      std::cerr << "--restore-dir: cannot derive a table name from "
-                << path.string() << " (empty stem)\n";
-      return false;
-    }
-    if (!stems.insert(table).second) {
-      std::cerr << "--restore-dir: duplicate table name '" << table
-                << "' from " << path.string() << "\n";
-      return false;
-    }
-  }
-  for (const fs::path& path : snapshots) {
-    const std::string table = path.stem().string();
-    try {
-      const manirank::serve::TableStats stats = manager->RestoreTable(
-          table, manirank::ReadTableSnapshotFile(path.string()));
-      std::cerr << "restored table '" << table << "' (" << stats.num_rankings
-                << " rankings, generation " << stats.generation << ") from "
-                << path.string() << "\n";
-    } catch (const std::exception& e) {
-      std::cerr << "--restore-dir: failed to restore '" << table
-                << "' from " << path.string() << ": " << e.what() << "\n";
-      return false;
     }
   }
   return true;
@@ -410,21 +306,24 @@ int main(int argc, char** argv) {
 #endif
 
   ContextManager manager;
-  if (restore_dir.has_value() && !RestoreFromDir(*restore_dir, &manager)) {
+  if (restore_dir.has_value() &&
+      !ColdStart("--restore-dir", *restore_dir, [&](auto* removed_temps) {
+        return manirank::serve::RestoreSnapshotDir(*restore_dir, &manager,
+                                                   removed_temps);
+      })) {
     return 2;
   }
   std::optional<manirank::serve::DurabilityManager> durability;
   if (log_dir.has_value()) {
-    std::error_code ec;
-    if (!std::filesystem::is_directory(*log_dir, ec)) {
-      std::cerr << "--log-dir: not a directory: " << *log_dir << "\n";
-      return 2;
-    }
     durability.emplace(*log_dir, &manager);
     // Cold start BEFORE Attach: the hook must not observe its own
     // replay. Attach then floors any --restore-dir tables that have no
     // durability state yet and starts logging every fold.
-    if (!DurableColdStart(&*durability)) return 2;
+    if (!ColdStart("--log-dir", *log_dir, [&](auto* removed_temps) {
+          return durability->ColdStart(removed_temps);
+        })) {
+      return 2;
+    }
     try {
       durability->Attach();
     } catch (const std::exception& e) {

@@ -285,11 +285,6 @@ void TaskPool::Stop() {
   threads_.clear();
 }
 
-size_t TaskPool::queued_jobs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_.size();
-}
-
 void TaskPool::WorkerLoop() {
   for (;;) {
     std::function<void()> job;

@@ -71,10 +71,6 @@ class TaskPool {
   /// Safe to call more than once; the destructor calls it.
   void Stop();
 
-  size_t thread_count() const { return threads_.size(); }
-  /// Jobs currently queued but not yet picked up (diagnostics).
-  size_t queued_jobs() const;
-
  private:
   void WorkerLoop();
 

@@ -621,6 +621,90 @@ TEST_F(OpLogTest, OrphanedOpLogRefusesToBoot) {
   EXPECT_THROW(durability.ColdStart(), std::runtime_error);
 }
 
+TEST_F(OpLogTest, ColdStartRefusesALogThatDoesNotChainFromItsFloor) {
+  // A real floor at generation 2 (2 rankings), then three forged logs
+  // beside it — each must refuse the whole cold start rather than replay
+  // onto the wrong profile.
+  {
+    TwinHarness harness(dir_);
+    harness.Drive({"CREATE t CYCLIC 4 2 2", "APPEND t 0 1 2 3 ; 1 2 3 0",
+                   "FLUSH t"});
+    harness.durability->SnapshotNow("t");
+  }
+  const TableSnapshot floor = ReadTableSnapshotFile(Path("t.snap"));
+  ASSERT_EQ(floor.summary.generation, 2u);
+  ASSERT_EQ(floor.summary.num_rankings, 2u);
+  struct Forged {
+    const char* what;
+    uint64_t base_generation;
+    uint64_t base_rankings;
+    bool straddling_record;
+  };
+  for (const Forged& forged :
+       {Forged{"base newer than the floor", 3, 3, false},
+        Forged{"same generation, different ranking count", 2, 5, false},
+        Forged{"record straddling the floor", 1, 1, true}}) {
+    SCOPED_TRACE(forged.what);
+    auto writer = OpLogWriter::Create(Path("t.oplog"), 4,
+                                      forged.base_generation,
+                                      forged.base_rankings);
+    if (forged.straddling_record) {
+      // Generation 1 -> 3 jumps over the floor at 2.
+      writer->BufferAppend({Ranking({3, 2, 1, 0}), Ranking({2, 3, 0, 1})});
+      writer->Commit();
+    }
+    writer.reset();
+    ContextManager restarted;
+    DurabilityManager durability(dir_, &restarted);
+    EXPECT_THROW(durability.ColdStart(), std::runtime_error);
+  }
+}
+
+TEST_F(OpLogTest, ScanRefusesFileNamesThatCannotNameATable) {
+  // The bare ".snap" dotfile (empty stem) and "..snap" (stem ".") fail
+  // the one directory scan both cold-start modes share.
+  for (const char* odd : {".snap", "..snap", ".oplog"}) {
+    SCOPED_TRACE(odd);
+    WriteAllBytes(Path(odd), "not a table");
+    ContextManager manager;
+    DurabilityManager durability(dir_, &manager);
+    EXPECT_THROW(durability.ColdStart(), std::runtime_error);
+    EXPECT_THROW(serve::RestoreSnapshotDir(dir_, &manager),
+                 std::runtime_error);
+    EXPECT_EQ(manager.num_tables(), 0u);
+    fs::remove(Path(odd));
+  }
+}
+
+TEST_F(OpLogTest, RestoreSnapshotDirRefusesADurabilityDirectory) {
+  {
+    TwinHarness harness(dir_);
+    harness.Drive(DurabilityWorkload(5));
+  }
+  // Restoring only the floor would silently drop every logged fold: the
+  // snapshot-only cold start must refuse, naming the log.
+  ContextManager manager;
+  try {
+    serve::RestoreSnapshotDir(dir_, &manager);
+    ADD_FAILURE() << "a directory with op logs must not snapshot-restore";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("t.oplog"), std::string::npos) << message;
+    EXPECT_NE(message.find("--log-dir"), std::string::npos) << message;
+  }
+  EXPECT_EQ(manager.num_tables(), 0u);
+
+  // Without the log the same directory is a plain snapshot directory.
+  fs::remove(Path("t.oplog"));
+  WriteAllBytes(Path("t.snap.tmp.7.1"), "half-written debris");
+  std::vector<std::string> removed;
+  const auto restored = serve::RestoreSnapshotDir(dir_, &manager, &removed);
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_EQ(restored[0].table, "t");
+  EXPECT_EQ(removed.size(), 1u);
+  EXPECT_TRUE(manager.Has("t"));
+}
+
 // ------------------------------------------------ SNAPSHOT-POLICY verb
 
 TEST_F(OpLogTest, SnapshotPolicyVerbValidation) {

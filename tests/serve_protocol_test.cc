@@ -322,6 +322,24 @@ TEST_F(ProtocolTest, FollowerTablesRejectMutationsWithReadonly) {
   EXPECT_TRUE(IsOk(Handle("FLUSH t")));
 }
 
+TEST_F(ProtocolTest, FollowerRestoreReplacesTheTableReadOnlyInOneStep) {
+  // A leader restore over a taken name still refuses.
+  const auto exact = serve::SnapshotMode::kAuto;
+  EXPECT_THROW(manager_.RestoreTable("t", manager_.SnapshotTable("t", exact)),
+               std::invalid_argument);
+  // A follower restore (a replication re-handshake) replaces the table,
+  // and the new table is read-only from the moment it is visible.
+  const serve::TableStats stats = manager_.RestoreTable(
+      "t", manager_.SnapshotTable("t", exact), serve::TableRole::kFollower);
+  EXPECT_EQ(stats.role, serve::TableRole::kFollower);
+  EXPECT_THROW(manager_.Append("t", {Ranking({0, 1, 2, 3, 4, 5})}),
+               serve::ReadOnlyTableError);
+  const std::string after = Handle("STATS t");
+  EXPECT_NE(after.find("rankings=2 generation=2"), std::string::npos)
+      << after;
+  EXPECT_NE(after.find("role=follower"), std::string::npos) << after;
+}
+
 TEST_F(ProtocolTest, FuzzedRequestLinesNeverCrashOrCorrupt) {
   // Deterministic fuzz-ish sweep: random token soup plus mutations of
   // valid requests. Every line must draw exactly one OK/ERR response (or
