@@ -1,7 +1,10 @@
-// Ablation study for the design choices called out in DESIGN.md §5:
-//   1. Make-MR-Fair engines — paper-faithful reference (O(n) per swap)
-//      vs Fenwick-indexed (O(#groupings + log n) per swap): identical
-//      output, very different scaling.
+// Ablation study for two Make-MR-Fair design choices:
+//   1. Make-MR-Fair engines — paper-faithful reference (rescores every
+//      grouping and rereads positions from the ranking: O(n * #groupings)
+//      per swap) vs indexed (incremental scores, per-group position
+//      bitsets, early-exit pair scan: O(#groupings) plus a few word scans
+//      per swap): identical output, very different scaling. Exits 1 if
+//      the engines disagree on any ranking, swap count or verdict.
 //   2. Swap policy — the paper's "lowest-of-highest-group" rule vs a
 //      random crossing pair: the paper rule needs fewer swaps and loses
 //      less preference information (PD loss), which is its stated goal.
@@ -12,6 +15,7 @@ int main() {
   using namespace manirank;
   using namespace manirank::bench;
   Banner("Ablation", "Make-MR-Fair engines and swap policies");
+  bool engines_agree = true;
 
   // --- engine scaling ------------------------------------------------------
   {
@@ -32,7 +36,9 @@ int main() {
       Stopwatch t2;
       MakeMrFairResult b = MakeMrFair(design.modal, design.table, indexed);
       const double idx_secs = t2.Seconds();
-      const bool same = a.ranking == b.ranking;
+      const bool same = a.ranking == b.ranking && a.swaps == b.swaps &&
+                        a.satisfied == b.satisfied;
+      engines_agree = engines_agree && same;
       table.AddRow({std::to_string(n), "reference", Fmt(ref_secs, 3),
                     std::to_string(a.swaps), same ? "yes" : "NO"});
       table.AddRow({std::to_string(n), "indexed", Fmt(idx_secs, 3),
@@ -76,6 +82,10 @@ int main() {
                  "converge in fewer swaps because each long-distance swap\n"
                  "moves FPR a lot — exactly the indiscriminate damage the "
                  "paper's rule avoids.\n";
+  }
+  if (!engines_agree) {
+    std::cerr << "FAIL: the reference and indexed engines disagree\n";
+    return 1;
   }
   return 0;
 }

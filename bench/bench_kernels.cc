@@ -6,8 +6,10 @@
 //                              rebuilding every cached structure per method
 //                              (the pre-context behaviour), an
 //                              incremental-append vs full-rebuild section
-//                              (streaming profile mutations), plus raw
-//                              kernel timings seeding the perf trajectory.
+//                              (streaming profile mutations), the
+//                              Make-MR-Fair repair on the serving
+//                              benchmark's table shape, plus raw kernel
+//                              timings seeding the perf trajectory.
 //   ./bench_kernels --micro    additionally runs the google-benchmark micro
 //                              suite (Kendall tau, FPR, precedence build,
 //                              Mallows sampling, Make-MR-Fair engines, LP).
@@ -185,6 +187,48 @@ BitsetBuildCase RunBitsetBuildCase(int n, int m, int reps) {
   return result;
 }
 
+// --- Make-MR-Fair repair on the serving benchmark's table shape -------------
+
+struct MakeMrFairCase {
+  int n = 0;
+  int64_t swaps = 0;
+  double seconds = 0.0;            // kIndexed, best of reps
+  double reference_seconds = 0.0;  // kReference, one run
+  bool identical = false;
+};
+
+/// Repairs the A3 input of a serving-benchmark-shaped table — the Borda
+/// consensus of 1000 theta = 0.05 Mallows draws around the biased modal of
+/// a CYCLIC 4x3 table, at Delta = 0.1 — with the indexed engine (best of
+/// `reps`), and checks ranking, swaps and verdict against the reference
+/// engine.
+MakeMrFairCase RunMakeMrFairCase(int n, int reps) {
+  MakeMrFairCase result;
+  result.n = n;
+  const CandidateTable table = MakeCyclicTable(n, 4, 3);
+  const Ranking start = BordaAggregate(
+      MallowsModel(MakeCyclicBiasedModal(n, 4, 3), 0.05)
+          .SampleMany(1000, /*seed=*/31));
+  MakeMrFairOptions options;
+  options.delta = 0.1;
+  MakeMrFairResult indexed;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch timer;
+    indexed = MakeMrFair(start, table, options);
+    const double seconds = timer.Seconds();
+    if (rep == 0 || seconds < result.seconds) result.seconds = seconds;
+  }
+  options.engine = MakeMrFairOptions::Engine::kReference;
+  Stopwatch timer;
+  const MakeMrFairResult reference = MakeMrFair(start, table, options);
+  result.reference_seconds = timer.Seconds();
+  result.swaps = indexed.swaps;
+  result.identical = indexed.ranking == reference.ranking &&
+                     indexed.swaps == reference.swaps &&
+                     indexed.satisfied == reference.satisfied;
+  return result;
+}
+
 int WriteKernelJson(const char* path) {
   const bool quick = QuickMode();
   const int n = 100;
@@ -217,6 +261,11 @@ int WriteKernelJson(const char* path) {
       RunBitsetBuildCase(128, quick ? 256 : 1024, reps),
       RunBitsetBuildCase(512, quick ? 128 : 512, reps),
       RunBitsetBuildCase(2048, quick ? 64 : 128, reps),
+  };
+
+  const MakeMrFairCase mmf_cases[] = {
+      RunMakeMrFairCase(200, reps),
+      RunMakeMrFairCase(1000, reps),
   };
 
   // Best-of-N for each scenario to damp scheduler noise.
@@ -284,6 +333,20 @@ int WriteKernelJson(const char* path) {
                  c.kernel, i + 1 < std::size(bitset_cases) ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"make_mr_fair\": [\n");
+  for (size_t i = 0; i < std::size(mmf_cases); ++i) {
+    const MakeMrFairCase& c = mmf_cases[i];
+    std::fprintf(f,
+                 "    {\"n\": %d, \"swaps\": %lld, \"ms\": %.3f, "
+                 "\"us_per_swap\": %.3f, \"reference_ms\": %.3f, "
+                 "\"identical\": %s}%s\n",
+                 c.n, static_cast<long long>(c.swaps), c.seconds * 1e3,
+                 c.swaps > 0 ? c.seconds * 1e6 / static_cast<double>(c.swaps)
+                             : 0.0,
+                 c.reference_seconds * 1e3, c.identical ? "true" : "false",
+                 i + 1 < std::size(mmf_cases) ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"kernels\": {\"precedence_build_seconds\": %.6f, "
                "\"parity_scores_seconds\": %.6f}\n",
                precedence_build_seconds, parity_scores_seconds);
@@ -296,6 +359,14 @@ int WriteKernelJson(const char* path) {
         c.n, c.m, c.scalar_seconds, c.kernel, c.bitset_seconds, c.speedup);
   }
 
+  for (const MakeMrFairCase& c : mmf_cases) {
+    std::printf("make-mr-fair n=%-5d %lld swaps in %.1f ms (%.2f us/swap), "
+                "reference %.1f ms, identical: %s\n",
+                c.n, static_cast<long long>(c.swaps), c.seconds * 1e3,
+                c.swaps > 0 ? c.seconds * 1e6 / static_cast<double>(c.swaps)
+                            : 0.0,
+                c.reference_seconds * 1e3, c.identical ? "yes" : "NO");
+  }
   std::printf("shared context:     %.4fs (%d precedence builds)\n",
               shared.seconds, shared.precedence_builds);
   std::printf("per-method rebuild: %.4fs (%d precedence builds)\n",

@@ -1,12 +1,10 @@
 #include "core/make_mr_fair.h"
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
-#include <functional>
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -15,12 +13,133 @@
 namespace manirank {
 namespace {
 
+/// Ranking positions one group occupies, as a bitset over 0..n-1: the
+/// kIndexed engine's position index. A swap moves one bit in each of the
+/// two touched groups; neighbour queries are ctz/clz word scans and order
+/// statistics are popcount walks.
+class PositionSet {
+ public:
+  explicit PositionSet(int n) : words_((n + 63) / 64, 0) {}
+
+  /// Build-time only: a swap moves members, it never adds them.
+  void Insert(int pos) {
+    words_[pos >> 6] |= uint64_t{1} << (pos & 63);
+    ++size_;
+  }
+  void Move(int from, int to) {
+    words_[from >> 6] &= ~(uint64_t{1} << (from & 63));
+    words_[to >> 6] |= uint64_t{1} << (to & 63);
+  }
+
+  int size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Smallest member > pos (pos may be -1), or -1 if none.
+  int NextAfter(int pos) const {
+    size_t w = static_cast<size_t>(pos + 1) >> 6;
+    if (w >= words_.size()) return -1;
+    uint64_t bits = words_[w] & (~uint64_t{0} << ((pos + 1) & 63));
+    while (bits == 0) {
+      if (++w == words_.size()) return -1;
+      bits = words_[w];
+    }
+    return static_cast<int>(w * 64) + __builtin_ctzll(bits);
+  }
+
+  /// Largest member < pos (pos may be n), or -1 if none.
+  int PrevBefore(int pos) const {
+    if (pos <= 0) return -1;
+    size_t w = static_cast<size_t>(pos - 1) >> 6;
+    uint64_t bits = words_[w] & (~uint64_t{0} >> (63 - ((pos - 1) & 63)));
+    while (bits == 0) {
+      if (w-- == 0) return -1;
+      bits = words_[w];
+    }
+    return static_cast<int>(w * 64) + 63 - __builtin_clzll(bits);
+  }
+
+  int First() const { return NextAfter(-1); }
+  int Last() const { return PrevBefore(static_cast<int>(words_.size() * 64)); }
+
+  /// Number of members > pos.
+  int CountAfter(int pos) const {
+    size_t w = static_cast<size_t>(pos + 1) >> 6;
+    if (w >= words_.size()) return 0;
+    int count =
+        __builtin_popcountll(words_[w] & (~uint64_t{0} << ((pos + 1) & 63)));
+    while (++w < words_.size()) count += __builtin_popcountll(words_[w]);
+    return count;
+  }
+
+  /// The k-th smallest member > pos (0-based); k < CountAfter(pos).
+  int KthAfter(int pos, int k) const {
+    size_t w = static_cast<size_t>(pos + 1) >> 6;
+    uint64_t bits = words_[w] & (~uint64_t{0} << ((pos + 1) & 63));
+    for (int c = __builtin_popcountll(bits); k >= c;
+         c = __builtin_popcountll(bits)) {
+      k -= c;
+      bits = words_[++w];
+    }
+    for (; k > 0; --k) bits &= bits - 1;
+    return static_cast<int>(w * 64) + __builtin_ctzll(bits);
+  }
+
+ private:
+  std::vector<uint64_t> words_;
+  int size_ = 0;
+};
+
+/// Anti-cycling tabu list over the last kTenure swapped candidate pairs: a
+/// FIFO plus the set the tabu test reads, both flat. It keeps the
+/// FIFO-and-set semantics exactly, quirk included: a pair leaving the FIFO
+/// leaves the set even while a newer copy of it is still queued.
+class TabuList {
+ public:
+  bool Contains(CandidateId a, CandidateId b) const {
+    return std::find(set_.begin(), set_.begin() + set_size_, Key(a, b)) !=
+           set_.begin() + set_size_;
+  }
+
+  void Push(CandidateId a, CandidateId b) {
+    const uint64_t key = Key(a, b);
+    fifo_[fifo_size_++] = key;
+    if (!Contains(a, b)) set_[set_size_++] = key;
+    if (fifo_size_ > kTenure) {
+      const uint64_t oldest = fifo_[0];
+      std::copy(fifo_.begin() + 1, fifo_.begin() + fifo_size_, fifo_.begin());
+      --fifo_size_;
+      const auto end = set_.begin() + set_size_;
+      const auto it = std::find(set_.begin(), end, oldest);
+      if (it != end) {
+        *it = *(end - 1);
+        --set_size_;
+      }
+    }
+  }
+
+  void Clear() { fifo_size_ = set_size_ = 0; }
+
+ private:
+  static constexpr size_t kTenure = 16;
+
+  static uint64_t Key(CandidateId a, CandidateId b) {
+    if (b < a) std::swap(a, b);
+    return (uint64_t{static_cast<uint32_t>(a)} << 32) |
+           static_cast<uint32_t>(b);
+  }
+
+  std::array<uint64_t, kTenure + 1> fifo_{};  // oldest first
+  std::array<uint64_t, kTenure + 1> set_{};   // unordered
+  size_t fifo_size_ = 0;
+  size_t set_size_ = 0;
+};
+
 struct GroupingState {
   const Grouping* grouping;
   double threshold;
   std::vector<int64_t> favored;       // FPR numerators
   std::vector<int64_t> denom;         // mixed-pair counts
-  std::vector<std::set<int>> positions;  // occupied positions per group
+  std::vector<PositionSet> positions;  // kIndexed only: per-group index
 
   double Fpr(int g) const {
     if (denom[g] == 0) return 0.5;
@@ -47,124 +166,180 @@ struct GroupingState {
   }
 };
 
-/// Predicate blocking recently swapped candidate pairs (anti-cycling).
-using TabuFn = std::function<bool(CandidateId, CandidateId)>;
+/// Crossing pairs examined per swap: caps selection cost on huge groups
+/// (10^5-candidate inputs); the nearest crossings carry the most useful
+/// distances anyway. Tabu-skipped pairs count toward the cap.
+constexpr int kScanCap = 512;
 
-/// The paper's swap-pair selection: q is the position of the highest
-/// member of G_lowest that has at least one G_highest member above it;
-/// p is the position of the lowest such G_highest member above q.
-/// Returns false if no (G_highest above G_lowest) pair exists.
+/// The swap-pair rule over the crossing pairs (p above q) a scan offers,
+/// in scan order: q runs down G_lowest's members from the highest one
+/// that has a G_highest member above it, and p is the lowest G_highest
+/// member above q. The first pair offered is the paper's.
 ///
-/// Convergence safeguards (deviations from the paper noted in the header):
-///  1. A swap across distance d moves the two groups' FPR gap by
-///     d * (1/denom_h + 1/denom_l). Whenever the paper's pair would
-///     overshoot past -threshold — which makes the repair loop oscillate
-///     around small thresholds — we pick the smallest in-band distance
-///     (lands just inside +threshold, minimal collateral on the other
-///     groupings), else the largest undershooting distance, else the
-///     overall minimum.
-///  2. Pairs on the caller's tabu list (recent swaps) are skipped unless
-///     nothing else is available, which breaks deterministic two-cycles
-///     between coupled groupings.
-bool FindPaperSwap(const GroupingState& state, int gh, int gl,
-                   double threshold, const Ranking& r, const TabuFn& is_tabu,
-                   int* p, int* q) {
-  const std::set<int>& high_pos = state.positions[gh];
-  const std::set<int>& low_pos = state.positions[gl];
-  if (high_pos.empty() || low_pos.empty()) return false;
-  const int hmin = *high_pos.begin();
-  auto begin_it = low_pos.upper_bound(hmin);
-  if (begin_it == low_pos.end()) return false;
-  auto prev_high = [&](int below) {
-    auto jt = high_pos.lower_bound(below);
-    assert(jt != high_pos.begin());
-    --jt;
-    return *jt;
-  };
-  const double gap = state.Fpr(gh) - state.Fpr(gl);
-  const double alpha = 1.0 / static_cast<double>(state.denom[gh]) +
-                       1.0 / static_cast<double>(state.denom[gl]);
-  const double d_max = (gap + threshold) / alpha;  // stay above -threshold
-  const double d_min = (gap - threshold) / alpha;  // land below +threshold
+/// Convergence safeguard (a deviation from the paper noted in the
+/// header): a swap across distance d moves the two groups' FPR gap by
+/// d * (1/denom_h + 1/denom_l). Whenever the paper's pair would overshoot
+/// past -threshold — which makes the repair loop oscillate around small
+/// thresholds — the rule picks the smallest in-band distance (lands just
+/// inside +threshold, minimal collateral on the other groupings), else
+/// the largest undershooting distance, else the overall minimum.
+class SwapChoice {
+ public:
+  SwapChoice(const GroupingState& state, int gh, int gl) {
+    const double gap = state.Fpr(gh) - state.Fpr(gl);
+    const double alpha = 1.0 / static_cast<double>(state.denom[gh]) +
+                         1.0 / static_cast<double>(state.denom[gl]);
+    d_max_ = (gap + state.threshold) / alpha;  // stay above -threshold
+    d_min_ = (gap - state.threshold) / alpha;  // land below +threshold
+  }
 
-  auto scan = [&](bool respect_tabu) -> bool {
-    int paper_p = -1, paper_q = -1;      // first (topmost-G_lowest) pair
-    int in_band_p = -1, in_band_q = -1;  // smallest d in [d_min, d_max]
-    int under_p = -1, under_q = -1;      // largest d < d_min
-    int min_p = -1, min_q = -1;          // smallest d overall
-    // Cap the alternatives examined per swap so huge groups (10^5-candidate
-    // inputs) keep O(1)-ish swap selection; the nearest crossings carry the
-    // most useful distances anyway.
-    constexpr int kScanCap = 512;
-    int scanned = 0;
-    for (auto it = begin_it; it != low_pos.end() && scanned < kScanCap;
-         ++it, ++scanned) {
-      const int qq = *it;
-      const int pp = prev_high(qq);
-      if (respect_tabu && is_tabu && is_tabu(r.At(pp), r.At(qq))) continue;
-      const int d = qq - pp;
-      if (paper_p < 0) {
-        paper_p = pp;
-        paper_q = qq;
-      }
-      if (min_p < 0 || d < min_q - min_p) {
-        min_p = pp;
-        min_q = qq;
-      }
-      if (static_cast<double>(d) <= d_max) {
-        if (static_cast<double>(d) >= d_min) {
-          if (in_band_p < 0 || d < in_band_q - in_band_p) {
-            in_band_p = pp;
-            in_band_q = qq;
-          }
-        } else if (under_p < 0 || d > under_q - under_p) {
-          under_p = pp;
-          under_q = qq;
-        }
+  void Offer(int pp, int qq) {
+    const int d = qq - pp;
+    if (paper_.p < 0) paper_ = {pp, qq};
+    if (min_.p < 0 || d < min_.d()) min_ = {pp, qq};
+    if (static_cast<double>(d) <= d_max_) {
+      if (static_cast<double>(d) >= d_min_) {
+        if (in_band_.p < 0 || d < in_band_.d()) in_band_ = {pp, qq};
+      } else if (under_.p < 0 || d > under_.d()) {
+        under_ = {pp, qq};
       }
     }
-    if (paper_p < 0) return false;  // everything tabu (or unreachable)
-    if (static_cast<double>(paper_q - paper_p) <= d_max) {
-      *p = paper_p;
-      *q = paper_q;  // the paper's own pair does not overshoot
-    } else if (in_band_p >= 0) {
-      *p = in_band_p;
-      *q = in_band_q;
-    } else if (under_p >= 0) {
-      *p = under_p;
-      *q = under_q;
-    } else {
-      *p = min_p;
-      *q = min_q;
-    }
+  }
+
+  /// True once the paper's pair is known not to overshoot: no later offer
+  /// can change the choice.
+  bool PaperFits() const {
+    return paper_.p >= 0 && static_cast<double>(paper_.d()) <= d_max_;
+  }
+
+  /// False when nothing was offered (everything tabu, or unreachable).
+  bool Pick(int* p, int* q) const {
+    if (paper_.p < 0) return false;
+    const Pair& pick = PaperFits()        ? paper_
+                       : in_band_.p >= 0 ? in_band_
+                       : under_.p >= 0   ? under_
+                                         : min_;
+    *p = pick.p;
+    *q = pick.q;
     return true;
+  }
+
+ private:
+  struct Pair {
+    int p = -1, q = -1;
+    int d() const { return q - p; }
+  };
+  double d_max_, d_min_;
+  Pair paper_;    // first pair offered
+  Pair in_band_;  // smallest d in [d_min, d_max]
+  Pair under_;    // largest d < d_min
+  Pair min_;      // smallest d overall
+};
+
+// --- kIndexed: bitset position index, early-exit scan ------------------------
+
+/// The paper's swap pair for (gh, gl) on the bitset index. The scan stops
+/// at the first non-tabu pair unless it overshoots; only then does it
+/// walk on for the safeguard's alternatives. Pairs on the tabu list
+/// (recent swaps) are skipped unless nothing else is available, which
+/// breaks deterministic two-cycles between coupled groupings.
+bool IndexedPaperSwap(const GroupingState& state, int gh, int gl,
+                      const Ranking& r, const TabuList& tabu, int* p,
+                      int* q) {
+  const PositionSet& high = state.positions[gh];
+  const PositionSet& low = state.positions[gl];
+  if (high.empty() || low.empty()) return false;
+  const int first_q = low.NextAfter(high.First());
+  if (first_q < 0) return false;
+  auto scan = [&](bool respect_tabu) {
+    SwapChoice choice(state, gh, gl);
+    int scanned = 0;
+    for (int qq = first_q; qq >= 0 && scanned < kScanCap;
+         qq = low.NextAfter(qq), ++scanned) {
+      const int pp = high.PrevBefore(qq);
+      if (respect_tabu && tabu.Contains(r.At(pp), r.At(qq))) continue;
+      choice.Offer(pp, qq);
+      if (choice.PaperFits()) break;
+    }
+    return choice.Pick(p, q);
   };
   // Aspiration: if the tabu list blocks every pair, ignore it.
   return scan(/*respect_tabu=*/true) || scan(/*respect_tabu=*/false);
 }
 
 /// Ablation policy: a uniformly random (G_highest above G_lowest) pair.
-bool FindRandomSwap(const GroupingState& state, int gh, int gl,
-                    const Ranking& r, const TabuFn& is_tabu, Rng* rng, int* p,
-                    int* q) {
-  const std::set<int>& high_pos = state.positions[gh];
-  const std::set<int>& low_pos = state.positions[gl];
-  if (high_pos.empty() || low_pos.empty()) return false;
-  if (*high_pos.begin() >= *low_pos.rbegin()) return false;  // no crossing
+bool IndexedRandomSwap(const GroupingState& state, int gh, int gl,
+                       const Ranking& r, const TabuList& tabu, Rng* rng,
+                       int* p, int* q) {
+  const PositionSet& high = state.positions[gh];
+  const PositionSet& low = state.positions[gl];
+  if (high.empty() || low.empty()) return false;
+  if (high.First() >= low.Last()) return false;  // no crossing
   for (int attempt = 0; attempt < 64; ++attempt) {
     // Random G_highest member, then a random lower G_lowest member.
-    auto hit = high_pos.begin();
-    std::advance(hit, rng->NextUint64(high_pos.size()));
-    auto lit = low_pos.upper_bound(*hit);
-    if (lit == low_pos.end()) continue;
-    const size_t below = static_cast<size_t>(
-        std::distance(lit, low_pos.end()));
-    std::advance(lit, rng->NextUint64(below));
-    *p = *hit;
-    *q = *lit;
+    const int hp =
+        high.KthAfter(-1, static_cast<int>(rng->NextUint64(high.size())));
+    const int below = low.CountAfter(hp);
+    if (below == 0) continue;
+    *p = hp;
+    *q = low.KthAfter(hp, static_cast<int>(rng->NextUint64(below)));
     return true;
   }
-  return FindPaperSwap(state, gh, gl, state.threshold, r, is_tabu, p, q);
+  return IndexedPaperSwap(state, gh, gl, r, tabu, p, q);
+}
+
+// --- kReference: positions read off the ranking, exhaustive scan ------------
+
+/// Ascending positions of group g's members, read off the ranking.
+std::vector<int> GroupPositions(const Ranking& r, const Grouping& grouping,
+                                int g) {
+  std::vector<int> positions;
+  for (int pos = 0; pos < r.size(); ++pos) {
+    if (grouping.group_of[r.At(pos)] == g) positions.push_back(pos);
+  }
+  return positions;
+}
+
+/// The same rule as IndexedPaperSwap, by the book: every crossing pair up
+/// to the cap is offered, with no early exit.
+bool ReferencePaperSwap(const GroupingState& state, int gh, int gl,
+                        const Ranking& r, const TabuList& tabu, int* p,
+                        int* q) {
+  const std::vector<int> high = GroupPositions(r, *state.grouping, gh);
+  const std::vector<int> low = GroupPositions(r, *state.grouping, gl);
+  if (high.empty() || low.empty()) return false;
+  const auto begin = std::upper_bound(low.begin(), low.end(), high.front());
+  if (begin == low.end()) return false;
+  auto scan = [&](bool respect_tabu) {
+    SwapChoice choice(state, gh, gl);
+    int scanned = 0;
+    for (auto it = begin; it != low.end() && scanned < kScanCap;
+         ++it, ++scanned) {
+      const int pp = *(std::lower_bound(high.begin(), high.end(), *it) - 1);
+      if (respect_tabu && tabu.Contains(r.At(pp), r.At(*it))) continue;
+      choice.Offer(pp, *it);
+    }
+    return choice.Pick(p, q);
+  };
+  return scan(/*respect_tabu=*/true) || scan(/*respect_tabu=*/false);
+}
+
+bool ReferenceRandomSwap(const GroupingState& state, int gh, int gl,
+                         const Ranking& r, const TabuList& tabu, Rng* rng,
+                         int* p, int* q) {
+  const std::vector<int> high = GroupPositions(r, *state.grouping, gh);
+  const std::vector<int> low = GroupPositions(r, *state.grouping, gl);
+  if (high.empty() || low.empty()) return false;
+  if (high.front() >= low.back()) return false;  // no crossing
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const int hp = high[rng->NextUint64(high.size())];
+    const auto lit = std::upper_bound(low.begin(), low.end(), hp);
+    if (lit == low.end()) continue;
+    *p = hp;
+    *q = lit[rng->NextUint64(static_cast<uint64_t>(low.end() - lit))];
+    return true;
+  }
+  return ReferencePaperSwap(state, gh, gl, r, tabu, p, q);
 }
 
 }  // namespace
@@ -200,15 +375,29 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     s.threshold = criterion.threshold;
     s.favored = GroupFavoredPairs(r, *s.grouping);
     s.denom.resize(s.grouping->num_groups());
-    s.positions.resize(s.grouping->num_groups());
     for (int g = 0; g < s.grouping->num_groups(); ++g) {
       s.denom[g] = MixedPairs(s.grouping->group_size(g), n);
     }
-    for (int pos = 0; pos < n; ++pos) {
-      s.positions[s.grouping->group_of[r.At(pos)]].insert(pos);
+    if (indexed) {
+      s.positions.assign(s.grouping->num_groups(), PositionSet(n));
+      for (int pos = 0; pos < n; ++pos) {
+        s.positions[s.grouping->group_of[r.At(pos)]].Insert(pos);
+      }
     }
     states.push_back(std::move(s));
   }
+
+  TabuList tabu;
+  auto paper_swap = [&](const GroupingState& s, int gh, int gl, int* p,
+                        int* q) {
+    return indexed ? IndexedPaperSwap(s, gh, gl, r, tabu, p, q)
+                   : ReferencePaperSwap(s, gh, gl, r, tabu, p, q);
+  };
+  auto random_swap = [&](const GroupingState& s, int gh, int gl, int* p,
+                         int* q) {
+    return indexed ? IndexedRandomSwap(s, gh, gl, r, tabu, &rng, p, q)
+                   : ReferenceRandomSwap(s, gh, gl, r, tabu, &rng, p, q);
+  };
 
   // Stall guard: the greedy loop can cycle between configurations when a
   // threshold is unreachable (e.g. parity 0 with an odd number of mixed
@@ -226,7 +415,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
   int restarts_left = 6;
 
   // Applies a position swap to the ranking AND every grouping's
-  // incremental state (favored counts + position sets). Also used to
+  // incremental state (favored counts + position index). Also used to
   // *undo* history entries — a swap is its own inverse.
   auto apply_swap = [&](int p, int q) {
     const CandidateId u = r.At(p);
@@ -235,17 +424,16 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     for (GroupingState& s : states) {
       const int a = s.grouping->group_of[u];
       const int b = s.grouping->group_of[v];
-      if (a != b) {
-        // A swap across distance d transfers exactly d favored mixed
-        // pairs from the upper candidate's group to the lower one's (all
-        // other groups' gains against u cancel their losses against v).
-        s.favored[a] -= dist;
-        s.favored[b] += dist;
+      if (a == b) continue;
+      // A swap across distance d transfers exactly d favored mixed pairs
+      // from the upper candidate's group to the lower one's (all other
+      // groups' gains against u cancel their losses against v).
+      s.favored[a] -= dist;
+      s.favored[b] += dist;
+      if (indexed) {
+        s.positions[a].Move(p, q);
+        s.positions[b].Move(q, p);
       }
-      s.positions[a].erase(p);
-      s.positions[b].erase(q);
-      s.positions[a].insert(q);
-      s.positions[b].insert(p);
     }
     r.SwapPositions(p, q);
   };
@@ -257,16 +445,14 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     }
   };
 
-  // Anti-cycling tabu list over recently swapped candidate pairs.
-  constexpr size_t kTabuTenure = 16;
-  std::deque<std::pair<CandidateId, CandidateId>> tabu_fifo;
-  std::set<std::pair<CandidateId, CandidateId>> tabu_set;
-  auto tabu_key = [](CandidateId a, CandidateId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+  struct Candidate {
+    double parity;
+    size_t state_index;
+    int gh, gl;
   };
-  const TabuFn is_tabu = [&](CandidateId a, CandidateId b) {
-    return tabu_set.count(tabu_key(a, b)) > 0;
-  };
+  // Per-iteration scratch, hoisted so the loop does not allocate.
+  std::vector<Candidate> violating;
+  std::vector<int> by_fpr;
 
   constexpr double kTol = 1e-12;
   while (result.swaps < max_swaps) {
@@ -279,12 +465,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     }
     // Order violating groupings by parity, descending (paper: correct the
     // attribute with the maximum ARP/IRP first).
-    struct Candidate {
-      double parity;
-      size_t state_index;
-      int gh, gl;
-    };
-    std::vector<Candidate> violating;
+    violating.clear();
     double max_violation = 0.0;
     for (size_t i = 0; i < states.size(); ++i) {
       double parity;
@@ -312,8 +493,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
       }
       // Kick: a handful of random crossing swaps on the worst grouping to
       // escape the plateau, then resume the greedy from there.
-      tabu_fifo.clear();
-      tabu_set.clear();
+      tabu.Clear();
       for (int kick = 0; kick < 8; ++kick) {
         double parity;
         int worst = -1, gh = 0, gl = 0;
@@ -330,10 +510,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
         }
         if (worst < 0) break;
         int kp, kq;
-        if (!FindRandomSwap(states[worst], gh, gl, r, is_tabu, &rng, &kp,
-                            &kq)) {
-          break;
-        }
+        if (!random_swap(states[worst], gh, gl, &kp, &kq)) break;
         apply_swap(kp, kq);
         swap_history.emplace_back(kp, kq);
         ++result.swaps;
@@ -341,10 +518,12 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
       swaps_since_best = 0;
       continue;
     }
-    std::stable_sort(violating.begin(), violating.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.parity > b.parity;
-                     });
+    // Ties break by grouping index, as a stable sort by parity would.
+    std::sort(violating.begin(), violating.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.parity > b.parity ||
+                       (a.parity == b.parity && a.state_index < b.state_index);
+              });
     // Take the worst grouping that still admits a corrective swap. The
     // paper's pair is (argmax FPR, argmin FPR); when it is blocked or
     // keeps cycling (tabu), the neighbourhood extends to lowering the max
@@ -355,29 +534,31 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     for (const Candidate& c : violating) {
       const GroupingState& s = states[c.state_index];
       if (options.swap_policy != MakeMrFairOptions::SwapPolicy::kPaper) {
-        found = FindRandomSwap(s, c.gh, c.gl, r, is_tabu, &rng, &p, &q);
+        found = random_swap(s, c.gh, c.gl, &p, &q);
         if (found) break;
         continue;
       }
-      // Group indices ordered by FPR (ascending).
-      std::vector<int> by_fpr(s.grouping->num_groups());
-      std::iota(by_fpr.begin(), by_fpr.end(), 0);
-      std::stable_sort(by_fpr.begin(), by_fpr.end(), [&](int a, int b) {
-        return s.Fpr(a) < s.Fpr(b);
-      });
-      // Pair priority: (max,min) first — the paper's choice — then
-      // (max, next-lowest...) and (next-highest..., min).
-      std::vector<std::pair<int, int>> pairs = {{c.gh, c.gl}};
-      for (size_t i = 1; i + 1 < by_fpr.size(); ++i) {
-        pairs.push_back({c.gh, by_fpr[i]});
-        pairs.push_back({by_fpr[by_fpr.size() - 1 - i], c.gl});
-      }
+      auto try_pair = [&](int hi, int lo) {
+        found = hi != lo && s.Fpr(hi) > s.Fpr(lo) &&
+                paper_swap(s, hi, lo, &p, &q);
+      };
+      try_pair(c.gh, c.gl);
+      // Then (max, next-lowest...) and (next-highest..., min), two per
+      // round, over groups ordered by FPR (ascending, ties by index).
       constexpr size_t kMaxPairsTried = 9;
-      for (size_t i = 0; i < pairs.size() && i < kMaxPairsTried && !found;
-           ++i) {
-        const auto [hi, lo] = pairs[i];
-        if (hi == lo || s.Fpr(hi) <= s.Fpr(lo)) continue;
-        found = FindPaperSwap(s, hi, lo, s.threshold, r, is_tabu, &p, &q);
+      const size_t groups = static_cast<size_t>(s.grouping->num_groups());
+      if (!found) {
+        by_fpr.resize(groups);
+        std::iota(by_fpr.begin(), by_fpr.end(), 0);
+        std::sort(by_fpr.begin(), by_fpr.end(), [&](int a, int b) {
+          const double fa = s.Fpr(a), fb = s.Fpr(b);
+          return fa < fb || (fa == fb && a < b);
+        });
+        for (size_t i = 1; 2 * i < kMaxPairsTried && i + 1 < groups && !found;
+             ++i) {
+          try_pair(c.gh, by_fpr[i]);
+          if (!found) try_pair(by_fpr[groups - 1 - i], c.gl);
+        }
       }
       if (found) break;
     }
@@ -386,18 +567,12 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
       result.satisfied = false;
       return result;
     }
-    // --- apply the swap to every grouping's incremental state -------------
     const CandidateId u = r.At(p);  // moves down to q
     const CandidateId v = r.At(q);  // moves up to p
     apply_swap(p, q);
     swap_history.emplace_back(p, q);
     ++result.swaps;
-    tabu_fifo.push_back(tabu_key(u, v));
-    tabu_set.insert(tabu_fifo.back());
-    if (tabu_fifo.size() > kTabuTenure) {
-      tabu_set.erase(tabu_fifo.front());
-      tabu_fifo.pop_front();
-    }
+    tabu.Push(u, v);
   }
   // Swap budget exhausted; keep whichever configuration (current vs best
   // seen) has the smaller maximum violation, then report honestly.

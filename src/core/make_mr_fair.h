@@ -28,13 +28,21 @@ struct MakeMrFairOptions {
   /// ablations (Fig. 3) and fully custom criteria sets.
   bool use_standard_criteria = true;
 
+  /// Both engines make the same swaps and return the same result on
+  /// every input; kReference is the equivalence oracle for kIndexed.
   enum class Engine {
-    /// Paper-faithful: recompute all FPR/ARP/IRP scores from scratch
-    /// before every swap — O(n * #groupings) per swap.
+    /// Paper-faithful: before every swap, recompute all FPR/ARP/IRP
+    /// scores from scratch, read group positions off the ranking, and
+    /// scan every crossing pair up to the scan cap — O(n * #groupings)
+    /// per swap.
     kReference,
-    /// Incremental: O(#groupings + log n) per swap using the identity
-    /// that a swap across distance d changes only the two touched groups'
-    /// favored-pair counts, by exactly -d and +d.
+    /// Incremental: a swap across distance d changes only the two touched
+    /// groups' favored-pair counts, by exactly -d and +d; positions live
+    /// in one bitset per group, and the pair scan stops at the paper's
+    /// pair unless it overshoots (then it scans up to the cap too).
+    /// O(#groupings) per swap plus bitset word scans: n/64 words per
+    /// neighbour query at worst, one or two in practice. Memory: n bits
+    /// per group.
     kIndexed,
   };
   Engine engine = Engine::kIndexed;

@@ -1,8 +1,10 @@
 #include "data/synthetic.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <tuple>
 
 namespace manirank {
@@ -24,6 +26,19 @@ CandidateTable MakeCyclicTable(int n, int d0, int d1) {
     values[c][1] = static_cast<AttributeValue>((c / d0) % d1);
   }
   return CandidateTable(std::move(attributes), std::move(values));
+}
+
+Ranking MakeCyclicBiasedModal(int n, int d0, int d1) {
+  std::vector<CandidateId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  const auto disfavour = [&](CandidateId c) {
+    return (c % d0 != 0 ? 1 : 0) + ((c / d0) % d1 != 0 ? 1 : 0);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](CandidateId a, CandidateId b) {
+                     return disfavour(a) < disfavour(b);
+                   });
+  return Ranking(std::move(order));
 }
 
 const char* ToString(TableIDataset kind) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/candidate_table.h"
+#include "core/ranking.h"
 #include "mallows/modal_designer.h"
 
 namespace manirank {
@@ -14,6 +15,12 @@ namespace manirank {
 /// by tests, benches, and the serve protocol's CREATE..CYCLIC, so every
 /// layer constructs bit-identical tables from the same parameters.
 CandidateTable MakeCyclicTable(int n, int d0, int d1);
+
+/// Modal ranking over MakeCyclicTable(n, d0, d1) that puts candidates in
+/// group 0 of both attributes first, then of one, then of neither (ties
+/// by id). Mallows draws around it are MANI-Rank-unfair, so Make-MR-Fair
+/// has real repair work to do: the serving benchmark's table shape.
+Ranking MakeCyclicBiasedModal(int n, int d0, int d1);
 
 /// The three Table I Mallows datasets: 90 candidates, Race (5 values) x
 /// Gender (3 values), 6 candidates per intersectional cell, with the modal

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/aggregators.h"
 #include "core/distance.h"
+#include "data/synthetic.h"
+#include "mallows/mallows.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -140,6 +143,7 @@ struct EngineParam {
   int d0, d1;
   double delta;
   uint64_t seed;
+  MakeMrFairOptions::SwapPolicy policy = MakeMrFairOptions::SwapPolicy::kPaper;
 };
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<EngineParam> {};
@@ -153,8 +157,8 @@ TEST_P(EngineEquivalenceTest, ReferenceAndIndexedEnginesAgree) {
     MakeMrFairOptions reference;
     reference.delta = p.delta;
     reference.engine = MakeMrFairOptions::Engine::kReference;
-    MakeMrFairOptions indexed;
-    indexed.delta = p.delta;
+    reference.swap_policy = p.policy;
+    MakeMrFairOptions indexed = reference;
     indexed.engine = MakeMrFairOptions::Engine::kIndexed;
     MakeMrFairResult a = MakeMrFair(start, t, reference);
     MakeMrFairResult b = MakeMrFair(start, t, indexed);
@@ -172,6 +176,7 @@ TEST_P(EngineEquivalenceTest, ResultSatisfiesDeltaOrReportsFailure) {
   Ranking start = testing::RandomRanking(p.n, &rng);
   MakeMrFairOptions options;
   options.delta = p.delta;
+  options.swap_policy = p.policy;
   MakeMrFairResult r = MakeMrFair(start, t, options);
   EXPECT_EQ(r.satisfied, SatisfiesManiRank(r.ranking, t, p.delta));
 }
@@ -184,6 +189,108 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineParam{45, 5, 3, 0.1, 4000},
                       EngineParam{60, 2, 2, 0.05, 5000},
                       EngineParam{24, 4, 2, 0.25, 6000}));
+
+// Tight thresholds: delta = 0 and 0.01 drive the overshoot safeguard, tabu
+// aspiration and the stall kick, which the looser shapes above rarely reach.
+INSTANTIATE_TEST_SUITE_P(
+    TightDelta, EngineEquivalenceTest,
+    ::testing::Values(
+        EngineParam{21, 2, 2, 0.0, 7000},
+        EngineParam{40, 3, 2, 0.0, 7100},
+        EngineParam{64, 4, 3, 0.01, 7200},
+        EngineParam{97, 2, 3, 0.01, 7300},
+        EngineParam{33, 3, 3, 0.0, 7400,
+                    MakeMrFairOptions::SwapPolicy::kRandomPair},
+        EngineParam{75, 4, 2, 0.01, 7500,
+                    MakeMrFairOptions::SwapPolicy::kRandomPair}));
+
+/// FNV-1a over the output order, four little-endian bytes per id.
+uint64_t OrderHash(const Ranking& r) {
+  uint64_t h = 1469598103934665603ULL;
+  for (int i = 0; i < r.size(); ++i) {
+    const uint32_t id = static_cast<uint32_t>(r.At(i));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (id >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+struct GoldenCase {
+  int n;
+  double delta;
+  MakeMrFairOptions::SwapPolicy policy;
+  int64_t swaps;
+  bool satisfied;
+  uint64_t hash;
+};
+
+// Output of the serving benchmark's A3 repair shape (Borda of a theta = 0.05
+// Mallows profile around the biased modal of a CYCLIC 4x3 table), pinned
+// so a change that moves both engines together still fails. Values were
+// recorded with the std::set-indexed engine the bitset index replaced.
+TEST(MakeMrFairTest, GoldenOutputsOnServingShapedInputs) {
+  constexpr auto kPaper = MakeMrFairOptions::SwapPolicy::kPaper;
+  constexpr auto kRandom = MakeMrFairOptions::SwapPolicy::kRandomPair;
+  const GoldenCase cases[] = {
+      {200, 0.1, kPaper, 2256, true, 0x60addd5d59427e83ULL},
+      {200, 0.01, kPaper, 2450, true, 0xf0703c0e3e549fd3ULL},
+      {200, 0.0, kPaper, 8135, false, 0x51c608b47149e1a3ULL},
+      {200, 0.1, kRandom, 52, true, 0x232ce2582cc03dd3ULL},
+      {200, 0.0, kRandom, 6113, false, 0xc8b2eeacd8c296c3ULL},
+      {1000, 0.1, kPaper, 69951, true, 0x8f473e8a87bee21bULL},
+      {1000, 0.01, kPaper, 82871, true, 0x1e8084b690a9b9d3ULL},
+      {1000, 0.0, kPaper, 111318, false, 0x150cf372e3d5f167ULL},
+      {1000, 0.01, kRandom, 363, true, 0x905a6efb7bbfd2f7ULL},
+  };
+  for (const GoldenCase& c : cases) {
+    const CandidateTable table = MakeCyclicTable(c.n, 4, 3);
+    const Ranking start = BordaAggregate(
+        MallowsModel(MakeCyclicBiasedModal(c.n, 4, 3), 0.05)
+            .SampleMany(100, 1000 + c.n));
+    MakeMrFairOptions options;
+    options.delta = c.delta;
+    options.swap_policy = c.policy;
+    const MakeMrFairResult r = MakeMrFair(start, table, options);
+    EXPECT_EQ(r.swaps, c.swaps) << "n=" << c.n << " delta=" << c.delta;
+    EXPECT_EQ(r.satisfied, c.satisfied) << "n=" << c.n << " delta=" << c.delta;
+    EXPECT_EQ(OrderHash(r.ranking), c.hash)
+        << "n=" << c.n << " delta=" << c.delta << " hash=0x" << std::hex
+        << OrderHash(r.ranking);
+  }
+}
+
+// Small random tables at tight thresholds, where the anti-cycling tabu
+// list's exact FIFO-and-set semantics decide the output. Both engines
+// share that list, so only a pin catches a change to it.
+TEST(MakeMrFairTest, GoldenOutputsOnTightRandomTables) {
+  struct TightCase {
+    int n;
+    std::vector<int> domains;
+    double delta;
+    uint64_t seed;
+    int64_t swaps;
+    bool satisfied;
+    uint64_t hash;
+  };
+  const TightCase cases[] = {
+      {20, {2, 3}, 0.0, 47514, 190, false, 0xfc8bdfa667086993ULL},
+      {30, {3, 2}, 0.0, 23757, 435, false, 0x5cf07590a94f8122ULL},
+      {40, {4, 2}, 0.01, 15838, 780, false, 0x7729eb08c91d3a53ULL},
+  };
+  for (const TightCase& c : cases) {
+    Rng rng(c.seed);
+    const CandidateTable table = testing::RandomTable(c.n, c.domains, &rng);
+    const Ranking start = testing::RandomRanking(c.n, &rng);
+    MakeMrFairOptions options;
+    options.delta = c.delta;
+    const MakeMrFairResult r = MakeMrFair(start, table, options);
+    EXPECT_EQ(r.swaps, c.swaps) << "seed=" << c.seed;
+    EXPECT_EQ(r.satisfied, c.satisfied) << "seed=" << c.seed;
+    EXPECT_EQ(OrderHash(r.ranking), c.hash) << "seed=" << c.seed;
+  }
+}
 
 TEST(MakeMrFairTest, RandomPairPolicyAlsoRepairs) {
   CandidateTable t = SegregatedBinaryTable(16);

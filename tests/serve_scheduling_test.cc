@@ -12,10 +12,16 @@
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -173,13 +179,69 @@ TEST(ServeSchedulingTest, MetricsSurface) {
   server.Shutdown();
 }
 
+/// Turns on kernel receive timestamps for `fd` (nanosecond stamps where
+/// the platform has them).
+void EnableReceiveStamps(int fd) {
+  const int one = 1;
+#ifdef SO_TIMESTAMPNS
+  ::setsockopt(fd, SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof(one));
+#else
+  ::setsockopt(fd, SOL_SOCKET, SO_TIMESTAMP, &one, sizeof(one));
+#endif
+}
+
+/// Reads one response line straight off `fd` and returns the kernel's
+/// receive timestamp of its first bytes in nanoseconds, or -1 if none
+/// came with them. On loopback the stamp is taken inside the server's
+/// send, so stamps from different connections order responses by when
+/// the server wrote them, however the reading threads were scheduled.
+int64_t ReadStampedLine(int fd, std::string* line) {
+  int64_t stamp = -1;
+  line->clear();
+  char chunk[4096];
+  while (line->empty() || line->back() != '\n') {
+    alignas(cmsghdr) char control[256];
+    iovec iov{chunk, sizeof(chunk)};
+    msghdr msg{};
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
+    const ssize_t got = ::recvmsg(fd, &msg, 0);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return -1;
+    for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr && stamp < 0;
+         c = CMSG_NXTHDR(&msg, c)) {
+      if (c->cmsg_level != SOL_SOCKET) continue;
+#ifdef SO_TIMESTAMPNS
+      if (c->cmsg_type == SCM_TIMESTAMPNS) {
+        timespec ts;
+        std::memcpy(&ts, CMSG_DATA(c), sizeof(ts));
+        stamp = int64_t{ts.tv_sec} * 1000000000 + ts.tv_nsec;
+      }
+#else
+      if (c->cmsg_type == SCM_TIMESTAMP) {
+        timeval tv;
+        std::memcpy(&tv, CMSG_DATA(c), sizeof(tv));
+        stamp = int64_t{tv.tv_sec} * 1000000000 + int64_t{tv.tv_usec} * 1000;
+      }
+#endif
+    }
+    line->append(chunk, static_cast<size_t>(got));
+  }
+  line->pop_back();
+  return stamp;
+}
+
 /// Weighted fair queuing: with a single worker pinned down by a
 /// long-running exact solve, eight queued RUNs against the hot table
 /// must not starve a later RUN against a light table — the light lane's
 /// virtual start time beats the hot lane's accumulated drain weight, so
-/// the light response arrives after at most a couple of hot ones.
+/// the light response is written after at most a couple of hot ones.
 /// Arrival-order FIFO (the old scheduler) would serve all eight hot
-/// requests first.
+/// requests first. Responses are ordered by kernel receive stamps, not by
+/// when the reading threads ran, so a descheduled reader cannot reorder
+/// them.
 TEST(ServeSchedulingTest, LightTableNotStarvedBehindHotBacklog) {
   ContextManager manager;
   ServerOptions options;
@@ -224,34 +286,32 @@ TEST(ServeSchedulingTest, LightTableNotStarvedBehindHotBacklog) {
   for (int i = 0; i < 8; ++i) {
     hot_clients.push_back(
         std::make_unique<Client>(static_cast<int>(server.port())));
+    EnableReceiveStamps(hot_clients.back()->fd());
     ASSERT_TRUE(hot_clients.back()->Send("RUN hot A3\n"));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
 
   // ...then one light-table RUN, arriving last.
   Client light(static_cast<int>(server.port()));
+  EnableReceiveStamps(light.fd());
   ASSERT_TRUE(light.Send("RUN light A3\n"));
 
-  std::atomic<int> hot_done{0};
-  std::vector<std::thread> readers;
-  for (auto& hot : hot_clients) {
-    readers.emplace_back([&hot, &hot_done] {
-      const std::vector<std::string> lines = hot->ReadLines(1);
-      ASSERT_EQ(lines.size(), 1u);
-      EXPECT_EQ(lines[0].rfind("OK RUN hot", 0), 0u) << lines[0];
-      hot_done.fetch_add(1);
-    });
+  // The stamps order the responses, so reading them one by one is fine.
+  std::string line;
+  const int64_t light_stamp = ReadStampedLine(light.fd(), &line);
+  EXPECT_EQ(line.rfind("OK RUN light", 0), 0u) << line;
+  ASSERT_GE(light_stamp, 0) << "no kernel receive stamp";
+  int hot_before_light = 0;
+  for (const auto& hot : hot_clients) {
+    const int64_t stamp = ReadStampedLine(hot->fd(), &line);
+    EXPECT_EQ(line.rfind("OK RUN hot", 0), 0u) << line;
+    ASSERT_GE(stamp, 0) << "no kernel receive stamp";
+    if (stamp < light_stamp) ++hot_before_light;
   }
-  const std::vector<std::string> light_lines = light.ReadLines(1);
-  const int hot_before_light = hot_done.load();
-  ASSERT_EQ(light_lines.size(), 1u);
-  EXPECT_EQ(light_lines[0].rfind("OK RUN light", 0), 0u) << light_lines[0];
   // WFQ serves the light request right after the in-flight hot one;
-  // allow generous slack for reader-thread scheduling, while FIFO would
-  // reach 8 here.
+  // allow generous slack, while FIFO would reach 8 here.
   EXPECT_LE(hot_before_light, 4);
 
-  for (std::thread& t : readers) t.join();
   const std::vector<std::string> blocker_lines = blocker.ReadLines(1);
   ASSERT_EQ(blocker_lines.size(), 1u);
   EXPECT_EQ(blocker_lines[0].rfind("OK RUN slow", 0), 0u) << blocker_lines[0];
