@@ -8,7 +8,9 @@
 //                              incremental-append vs full-rebuild section
 //                              (streaming profile mutations), the
 //                              Make-MR-Fair repair on the serving
-//                              benchmark's table shape, plus raw kernel
+//                              benchmark's table shape, the protocol
+//                              layer (Dispatcher::Handle on APPEND, EVAL
+//                              and cached RUN lines), plus raw kernel
 //                              timings seeding the perf trajectory.
 //   ./bench_kernels --micro    additionally runs the google-benchmark micro
 //                              suite (Kendall tau, FPR, precedence build,
@@ -29,10 +31,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "manirank.h"
+#include "serve/context_manager.h"
+#include "serve/protocol.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -229,6 +236,99 @@ MakeMrFairCase RunMakeMrFairCase(int n, int reps) {
   return result;
 }
 
+// --- protocol layer: Dispatcher::Handle on serving-shaped requests ---------
+
+struct ProtocolCase {
+  const char* request = "";
+  int rankings = 0;  // rankings per request line (1 for EVAL / RUN)
+  int n = 0;
+  int requests = 0;  // timed requests per rep
+  double us_per_request = 0.0;  // best of reps
+  double ns_per_id = 0.0;       // per candidate id on the line (APPEND /
+                                // EVAL) or in the response (RUN)
+};
+
+/// "c0 c1 ... c{n-1}" for a random permutation.
+std::string RandomIdList(int n, Rng* rng) {
+  std::vector<CandidateId> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  rng->Shuffle(&order);
+  std::string ids;
+  for (int i = 0; i < n; ++i) {
+    if (i != 0) ids += ' ';
+    ids += std::to_string(order[i]);
+  }
+  return ids;
+}
+
+/// Times `requests` calls of Dispatcher::Handle(line), best of `reps`
+/// (the mean per request), with `reset` run untimed before each rep. Every
+/// response must be OK: a rejected request would time the error path.
+ProtocolCase TimeHandle(serve::Dispatcher* dispatcher, ProtocolCase c,
+                        const std::string& line, int reps,
+                        const std::function<void()>& reset) {
+  for (int rep = 0; rep < reps; ++rep) {
+    reset();
+    Stopwatch timer;
+    for (int r = 0; r < c.requests; ++r) {
+      const std::string response = dispatcher->Handle(line);
+      if (response.rfind("OK", 0) != 0) {
+        std::fprintf(stderr, "FATAL: protocol bench request failed: %s\n",
+                     response.c_str());
+        std::abort();
+      }
+    }
+    const double us = timer.Seconds() * 1e6 / c.requests;
+    if (rep == 0 || us < c.us_per_request) c.us_per_request = us;
+  }
+  c.ns_per_id = c.us_per_request * 1e3 / (c.rankings * c.n);
+  return c;
+}
+
+/// The protocol layer on the requests the serving benchmark sends:
+/// APPEND lines of 8 x n=200 (ingest_fold) and 50 x n=1000 rankings, EVAL
+/// of an n=1000 ranking, and a result-cache hit of RUN A3 at n=1000 (all
+/// response formatting).
+std::vector<ProtocolCase> RunProtocolCases(bool quick, int reps) {
+  serve::ContextManager manager;
+  serve::Dispatcher dispatcher(&manager);
+  Rng rng(41);
+  std::vector<ProtocolCase> cases;
+  for (const auto& [rankings, n, requests] :
+       {std::tuple{8, 200, quick ? 200 : 2000},
+        std::tuple{50, 1000, quick ? 10 : 50}}) {
+    std::string line = "APPEND a";
+    for (int r = 0; r < rankings; ++r) {
+      line += r == 0 ? " " : " ; ";
+      line += RandomIdList(n, &rng);
+    }
+    // A fresh table per rep: nothing is cached on it, so the untimed
+    // queue never folds into precedence state.
+    const auto reset = [&dispatcher, n = n] {
+      dispatcher.Handle("DROP a");
+      dispatcher.Handle("CREATE a CYCLIC " + std::to_string(n) + " 4 3");
+    };
+    cases.push_back(TimeHandle(&dispatcher,
+                               {"append", rankings, n, requests}, line, reps,
+                               reset));
+  }
+  dispatcher.Handle("CREATE e CYCLIC 1000 4 3");
+  for (int r = 0; r < 20; ++r) {
+    dispatcher.Handle("APPEND e " + RandomIdList(1000, &rng));
+  }
+  dispatcher.Handle("FLUSH e");
+  const auto warm = [&dispatcher] {
+    dispatcher.Handle("RUN e A3");  // fills the result cache
+  };
+  cases.push_back(TimeHandle(&dispatcher, {"eval", 1, 1000, quick ? 50 : 500},
+                             "EVAL e " + RandomIdList(1000, &rng), reps,
+                             warm));
+  cases.push_back(TimeHandle(&dispatcher,
+                             {"run_a3_cached", 1, 1000, quick ? 200 : 2000},
+                             "RUN e A3", reps, warm));
+  return cases;
+}
+
 int WriteKernelJson(const char* path) {
   const bool quick = QuickMode();
   const int n = 100;
@@ -267,6 +367,9 @@ int WriteKernelJson(const char* path) {
       RunMakeMrFairCase(200, reps),
       RunMakeMrFairCase(1000, reps),
   };
+
+  const std::vector<ProtocolCase> protocol_cases =
+      RunProtocolCases(quick, quick ? 3 : 5);
 
   // Best-of-N for each scenario to damp scheduler noise.
   SweepResult shared, rebuild;
@@ -347,6 +450,17 @@ int WriteKernelJson(const char* path) {
                  i + 1 < std::size(mmf_cases) ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"protocol\": [\n");
+  for (size_t i = 0; i < protocol_cases.size(); ++i) {
+    const ProtocolCase& c = protocol_cases[i];
+    std::fprintf(f,
+                 "    {\"request\": \"%s\", \"rankings\": %d, \"n\": %d, "
+                 "\"requests\": %d, \"us_per_request\": %.3f, "
+                 "\"ns_per_id\": %.3f}%s\n",
+                 c.request, c.rankings, c.n, c.requests, c.us_per_request,
+                 c.ns_per_id, i + 1 < protocol_cases.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"kernels\": {\"precedence_build_seconds\": %.6f, "
                "\"parity_scores_seconds\": %.6f}\n",
                precedence_build_seconds, parity_scores_seconds);
@@ -366,6 +480,10 @@ int WriteKernelJson(const char* path) {
                 c.swaps > 0 ? c.seconds * 1e6 / static_cast<double>(c.swaps)
                             : 0.0,
                 c.reference_seconds * 1e3, c.identical ? "yes" : "NO");
+  }
+  for (const ProtocolCase& c : protocol_cases) {
+    std::printf("protocol %-13s %2d x n=%-5d %9.2f us/request (%.2f ns/id)\n",
+                c.request, c.rankings, c.n, c.us_per_request, c.ns_per_id);
   }
   std::printf("shared context:     %.4fs (%d precedence builds)\n",
               shared.seconds, shared.precedence_builds);

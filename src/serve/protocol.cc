@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -9,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "data/csv.h"
@@ -19,28 +21,20 @@
 namespace manirank::serve {
 namespace {
 
-/// Whitespace tokenizer that also splits ';' into its own token, so an
-/// APPEND payload may write "0 1 2; 2 1 0" or "0 1 2 ; 2 1 0".
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else if (c == ';') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-      tokens.emplace_back(";");
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
-}
+using Tokens = std::vector<std::string_view>;
 
-std::optional<long> ParseLong(const std::string& token) {
+/// Any candidate table a client can register holds at most this many
+/// candidates: the first precedence method densifies an n^2 matrix (8
+/// bytes per cell, ~200 MB at the cap), so CREATE refuses larger tables
+/// up front instead of failing later with bad_alloc or an OOM kill.
+constexpr long kMaxCandidates = 5000;
+
+/// strtol over the WHOLE token: leading '\v'/'\f' (whitespace to strtol,
+/// token bytes to the tokenizer), an optional sign, decimal digits,
+/// nothing after, and no ERANGE. The copy supplies strtol's terminating
+/// NUL.
+std::optional<long> ParseLong(std::string_view view) {
+  const std::string token(view);
   errno = 0;
   char* end = nullptr;
   const long v = std::strtol(token.c_str(), &end, 10);
@@ -50,7 +44,8 @@ std::optional<long> ParseLong(const std::string& token) {
   return v;
 }
 
-std::optional<double> ParseDouble(const std::string& token) {
+std::optional<double> ParseDouble(std::string_view view) {
+  const std::string token(view);
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
@@ -60,28 +55,70 @@ std::optional<double> ParseDouble(const std::string& token) {
   return v;
 }
 
+/// A candidate id: ParseLong's grammar, then 0 <= id <= CandidateId max
+/// (checked before the cast — a wider id would truncate and alias a valid
+/// candidate). Plain digits with an optional '-' — every id a client
+/// normally sends — take the allocation-free from_chars path, which
+/// accepts exactly what strtol accepts for such tokens; anything else
+/// ('+5', a leading '\v', out-of-range digits) falls back to ParseLong.
+std::optional<CandidateId> ParseCandidateId(std::string_view token) {
+  CandidateId id = 0;
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, id);
+  if (ec == std::errc() && end == last) {
+    if (id < 0) return std::nullopt;
+    return id;
+  }
+  const auto v = ParseLong(token);
+  if (!v || *v < 0 || *v > std::numeric_limits<CandidateId>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<CandidateId>(*v);
+}
+
 std::string Err(const char* code, const std::string& detail) {
   return std::string("ERR ") + code + ": " + detail;
 }
 
-/// Formats one method result as "<id> sat=<0|1> consensus=<c0,c1,...>".
-void AppendMethodResult(std::ostringstream* os, const std::string& id,
-                        const ConsensusOutput& out) {
-  *os << ' ' << id << " sat=" << (out.satisfied ? 1 : 0) << " consensus=";
-  const std::vector<CandidateId>& order = out.consensus.order();
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i != 0) *os << ',';
-    *os << order[i];
+std::string BadCandidate(std::string_view token) {
+  return Err("bad-ranking", "candidate id must be a non-negative integer, got '" +
+                                std::string(token) + "'");
+}
+
+/// Appends an integer in its shortest decimal form — the same bytes an
+/// ostream in the classic locale writes.
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, end);
+}
+
+/// Appends "c0,c1,...".
+void AppendIdList(std::string* out, const std::vector<CandidateId>& ids) {
+  char buf[16];
+  for (size_t i = 0; i < ids.size(); ++i) {
+    char* p = buf;
+    if (i != 0) *p++ = ',';
+    p = std::to_chars(p, buf + sizeof(buf), ids[i]).ptr;
+    out->append(buf, p);
   }
 }
 
-std::string HandleCreate(ContextManager* manager,
-                         const std::vector<std::string>& tokens) {
+/// Appends one method result as " <id> sat=<0|1> consensus=<c0,c1,...>".
+void AppendMethodResult(std::string* response, const std::string& id,
+                        const ConsensusOutput& out) {
+  response->append(" ").append(id);
+  response->append(out.satisfied ? " sat=1 consensus=" : " sat=0 consensus=");
+  AppendIdList(response, out.consensus.order());
+}
+
+std::string HandleCreate(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() < 3) {
     return Err("bad-request", "CREATE <table> FILE <csv> | CYCLIC <n> <d0> <d1>");
   }
-  const std::string& table_name = tokens[1];
-  const std::string& kind = tokens[2];
+  const std::string table_name(tokens[1]);
+  const std::string_view kind = tokens[2];
   std::optional<CandidateTable> table;
   std::vector<Ranking> initial;
   if (kind == "CYCLIC") {
@@ -94,13 +131,11 @@ std::string HandleCreate(ContextManager* manager,
     if (!n || !d0 || !d1 || *n < 1 || *d0 < 1 || *d1 < 1) {
       return Err("bad-request", "CYCLIC arguments must be positive integers");
     }
-    // Bound before the int casts: a table a client can create in one
-    // request must neither truncate nor exhaust server memory — the first
-    // RUN densifies an n^2 precedence matrix (8 bytes per cell, ~200 MB
-    // at the cap), so n must stay far below what the int cast admits.
-    if (*n > 5000 || *d0 > 64 || *d1 > 64) {
-      return Err("bad-request",
-                 "CYCLIC size out of range (n <= 5000, domains <= 64)");
+    // Bound before the int casts, so nothing truncates either.
+    if (*n > kMaxCandidates || *d0 > 64 || *d1 > 64) {
+      return Err("bad-request", "CYCLIC size out of range (n <= " +
+                                    std::to_string(kMaxCandidates) +
+                                    ", domains <= 64)");
     }
     table = MakeCyclicTable(static_cast<int>(*n), static_cast<int>(*d0),
                             static_cast<int>(*d1));
@@ -110,17 +145,25 @@ std::string HandleCreate(ContextManager* manager,
       return Err("bad-request",
                  "CREATE <table> FILE <csv> [RANKINGS <csv>]");
     }
-    std::ifstream table_file(tokens[3]);
-    if (!table_file) return Err("io", "cannot open table file: " + tokens[3]);
+    const std::string table_path(tokens[3]);
+    std::ifstream table_file(table_path);
+    if (!table_file) return Err("io", "cannot open table file: " + table_path);
     try {
       table = ReadCandidateTableCsv(table_file);
     } catch (const std::exception& e) {
       return Err("io", "table csv: " + std::string(e.what()));
     }
+    if (table->num_candidates() > kMaxCandidates) {
+      return Err("bad-request", "FILE size out of range (n <= " +
+                                    std::to_string(kMaxCandidates) + ", got " +
+                                    std::to_string(table->num_candidates()) +
+                                    ")");
+    }
     if (tokens.size() == 6) {
-      std::ifstream rankings_file(tokens[5]);
+      const std::string rankings_path(tokens[5]);
+      std::ifstream rankings_file(rankings_path);
       if (!rankings_file) {
-        return Err("io", "cannot open rankings file: " + tokens[5]);
+        return Err("io", "cannot open rankings file: " + rankings_path);
       }
       try {
         initial = ReadRankingsCsv(rankings_file);
@@ -130,7 +173,7 @@ std::string HandleCreate(ContextManager* manager,
     }
   } else {
     return Err("bad-request", "CREATE source must be FILE or CYCLIC, got '" +
-                                  kind + "'");
+                                  std::string(kind) + "'");
   }
   const int n = table->num_candidates();
   const size_t m = initial.size();
@@ -141,15 +184,18 @@ std::string HandleCreate(ContextManager* manager,
   return os.str();
 }
 
-std::string HandleAppend(ContextManager* manager,
-                         const std::vector<std::string>& tokens) {
-  if (tokens.size() < 3) {
+/// APPEND and EVAL read their id payload straight off the tokenizer into
+/// the order vector they build — no token vector, no per-token copy.
+std::string HandleAppend(ContextManager* manager, LineTokenizer* cursor) {
+  const std::string table(cursor->Next());
+  std::string_view token = cursor->Next();
+  if (token.empty()) {
     return Err("bad-request", "APPEND <table> <c0> <c1> ... [; ...]");
   }
   std::vector<Ranking> batch;
   std::vector<CandidateId> order;
-  for (size_t i = 2; i <= tokens.size(); ++i) {
-    if (i == tokens.size() || tokens[i] == ";") {
+  for (;; token = cursor->Next()) {
+    if (token.empty() || token == ";") {
       if (order.empty()) {
         return Err("bad-ranking", "empty ranking in APPEND payload");
       }
@@ -157,53 +203,44 @@ std::string HandleAppend(ContextManager* manager,
         return Err("bad-ranking",
                    "APPEND payload is not a permutation of 0..n-1");
       }
+      const size_t width = order.size();
       batch.emplace_back(std::move(order));
-      order.clear();
+      if (token.empty()) break;
+      order = {};
+      order.reserve(width);
       continue;
     }
-    const auto c = ParseLong(tokens[i]);
-    // Bound-check before the int32 cast: ids beyond CandidateId would
-    // otherwise truncate and alias a valid candidate.
-    if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
-      return Err("bad-ranking",
-                 "candidate id must be a non-negative integer, got '" +
-                     tokens[i] + "'");
-    }
-    order.push_back(static_cast<CandidateId>(*c));
+    const auto c = ParseCandidateId(token);
+    if (!c) return BadCandidate(token);
+    order.push_back(*c);
   }
   const size_t queued = batch.size();
-  const TableStats stats = manager->Append(tokens[1], std::move(batch));
-  std::ostringstream os;
-  os << "OK APPEND " << tokens[1] << " queued=" << queued
-     << " pending_ops=" << stats.pending_ops
-     << " pending_rankings=" << stats.pending_rankings;
-  return os.str();
+  const TableStats stats = manager->Append(table, std::move(batch));
+  std::string response = "OK APPEND " + table + " queued=";
+  AppendInt(&response, queued);
+  response += " pending_ops=";
+  AppendInt(&response, stats.pending_ops);
+  response += " pending_rankings=";
+  AppendInt(&response, stats.pending_rankings);
+  return response;
 }
 
-std::string HandleEval(ContextManager* manager,
-                       const std::vector<std::string>& tokens) {
-  if (tokens.size() < 3) {
-    return Err("bad-request", "EVAL <table> <c0> <c1> ...");
-  }
+std::string HandleEval(ContextManager* manager, LineTokenizer* cursor) {
+  const std::string table(cursor->Next());
   std::vector<CandidateId> order;
-  order.reserve(tokens.size() - 2);
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const auto c = ParseLong(tokens[i]);
-    // Same bound-check-before-cast discipline as APPEND.
-    if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
-      return Err("bad-ranking",
-                 "candidate id must be a non-negative integer, got '" +
-                     tokens[i] + "'");
-    }
-    order.push_back(static_cast<CandidateId>(*c));
+  for (std::string_view token = cursor->Next(); !token.empty();
+       token = cursor->Next()) {
+    const auto c = ParseCandidateId(token);
+    if (!c) return BadCandidate(token);
+    order.push_back(*c);
   }
+  if (order.empty()) return Err("bad-request", "EVAL <table> <c0> <c1> ...");
   if (!Ranking::IsValidOrder(order)) {
     return Err("bad-ranking", "EVAL payload is not a permutation of 0..n-1");
   }
-  const EvalResult result =
-      manager->Eval(tokens[1], Ranking(std::move(order)));
+  const EvalResult result = manager->Eval(table, Ranking(std::move(order)));
   std::ostringstream os;
-  os << "OK EVAL " << tokens[1] << " gen=" << result.generation
+  os << "OK EVAL " << table << " gen=" << result.generation
      << " method=" << result.method << " tau=" << result.tau
      << " ntau=" << result.normalized_tau << " parity=";
   for (size_t i = 0; i < result.fairness.parity.size(); ++i) {
@@ -240,15 +277,14 @@ std::string HandleEval(ContextManager* manager,
   return os.str();
 }
 
-std::string HandleSelect(ContextManager* manager,
-                         const std::vector<std::string>& tokens) {
+std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
   static constexpr char kUsage[] =
       "SELECT <table> <k> [ATTR <a> <g> <min> <max>]* [INTER <g> <min> "
       "<max>]* [LIMIT <s>]";
   if (tokens.size() < 3) return Err("bad-request", kUsage);
   // Every numeric field is bound-checked before its int cast, like
   // APPEND's candidate ids: an id beyond int would otherwise truncate.
-  const auto parse_int = [](const std::string& token) -> std::optional<int> {
+  const auto parse_int = [](std::string_view token) -> std::optional<int> {
     const auto v = ParseLong(token);
     if (!v || *v < 0 || *v > std::numeric_limits<int>::max()) {
       return std::nullopt;
@@ -257,14 +293,14 @@ std::string HandleSelect(ContextManager* manager,
   };
   const auto k = parse_int(tokens[2]);
   if (!k || *k < 1) {
-    return Err("bad-request",
-               "SELECT k must be a positive integer, got '" + tokens[2] + "'");
+    return Err("bad-request", "SELECT k must be a positive integer, got '" +
+                                  std::string(tokens[2]) + "'");
   }
   SelectQuery query;
   query.k = *k;
   size_t i = 3;
   while (i < tokens.size()) {
-    const std::string& clause = tokens[i];
+    const std::string clause(tokens[i]);
     if (clause == "ATTR" || clause == "INTER") {
       const size_t arity = clause == "ATTR" ? 4 : 3;
       if (i + arity + 1 > tokens.size()) {
@@ -280,7 +316,7 @@ std::string HandleSelect(ContextManager* manager,
           return Err("bad-request",
                      "ATTR attribute index must be a non-negative integer, "
                      "got '" +
-                         tokens[j - 1] + "'");
+                         std::string(tokens[j - 1]) + "'");
         }
         spec.attribute = *a;
       } else {
@@ -306,7 +342,7 @@ std::string HandleSelect(ContextManager* manager,
       // `> 0` also rejects NaN.
       if (!seconds || !(*seconds > 0)) {
         return Err("bad-request", "LIMIT needs a positive number, got '" +
-                                      tokens[i + 1] + "'");
+                                      std::string(tokens[i + 1]) + "'");
       }
       query.time_limit_seconds = *seconds;
       i += 2;
@@ -315,7 +351,8 @@ std::string HandleSelect(ContextManager* manager,
                                     kUsage);
     }
   }
-  const SelectOutcome outcome = manager->Select(tokens[1], query);
+  const std::string table(tokens[1]);
+  const SelectOutcome outcome = manager->Select(table, query);
   if (!outcome.feasible) {
     // A well-formed query whose constraints admit no size-k slate: a
     // distinct code (the computation succeeded — only the answer is
@@ -326,7 +363,7 @@ std::string HandleSelect(ContextManager* manager,
                                  " under the given constraints");
   }
   std::ostringstream os;
-  os << "OK SELECT " << tokens[1] << " gen=" << outcome.generation
+  os << "OK SELECT " << table << " gen=" << outcome.generation
      << " k=" << query.k << " method=" << outcome.method
      << " algo=" << (outcome.used_ilp ? "ilp" : "greedy")
      << " optimal=" << (outcome.optimal ? 1 : 0) << " cost=" << outcome.cost
@@ -336,15 +373,13 @@ std::string HandleSelect(ContextManager* manager,
     os << outcome.air[g];
   }
   os << " four_fifths=" << (outcome.four_fifths ? 1 : 0) << " selected=";
-  for (size_t c = 0; c < outcome.selected.size(); ++c) {
-    if (c != 0) os << ',';
-    os << outcome.selected[c];
-  }
-  return os.str();
+  std::string response = os.str();
+  response.reserve(response.size() + 11 * outcome.selected.size());
+  AppendIdList(&response, outcome.selected);
+  return response;
 }
 
-std::string HandleRun(ContextManager* manager,
-                      const std::vector<std::string>& tokens) {
+std::string HandleRun(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() < 3) {
     return Err("bad-request", "RUN <table> <method|all> [DELTA <d>] [LIMIT <s>]");
   }
@@ -352,7 +387,8 @@ std::string HandleRun(ContextManager* manager,
   options.time_limit_seconds = 30.0;
   for (size_t i = 3; i < tokens.size(); i += 2) {
     if (i + 1 >= tokens.size()) {
-      return Err("bad-request", "RUN option " + tokens[i] + " needs a value");
+      return Err("bad-request",
+                 "RUN option " + std::string(tokens[i]) + " needs a value");
     }
     const auto value = ParseDouble(tokens[i + 1]);
     // `>= 0` also rejects NaN for both options.
@@ -362,67 +398,75 @@ std::string HandleRun(ContextManager* manager,
       options.time_limit_seconds = *value;
     } else {
       return Err("bad-request",
-                 "bad RUN option: " + tokens[i] + " " + tokens[i + 1]);
+                 "bad RUN option: " + std::string(tokens[i]) + " " +
+                     std::string(tokens[i + 1]));
     }
   }
-  const std::string& table = tokens[1];
-  const std::string& method = tokens[2];
-  std::ostringstream os;
+  const std::string table(tokens[1]);
+  const std::string_view method = tokens[2];
   uint64_t generation = 0;
+  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> results;
   if (method == "all") {
     // One shared-gate hold for the whole sweep (retained tables serve all
     // eight methods, restored ones the precedence/Borda subset), so the
     // reported gen= holds for every result on the line — a concurrent
     // mutation wave cannot land between two methods of one response.
-    std::vector<std::pair<const MethodSpec*, ConsensusOutput>> results =
-        manager->RunSupported(table, options, &generation);
-    os << "OK RUN " << table << " gen=" << generation;
-    for (const auto& [spec, output] : results) {
-      AppendMethodResult(&os, spec->id, output);
-    }
+    results = manager->RunSupported(table, options, &generation);
   } else {
     ConsensusOutput output = manager->Run(table, method, options, &generation);
-    os << "OK RUN " << table << " gen=" << generation;
-    AppendMethodResult(&os, FindMethod(method)->id, output);
+    results.emplace_back(FindMethod(method), std::move(output));
   }
-  return os.str();
+  // One reserved string: an id takes at most 11 bytes with its comma, and
+  // the response head and each " <id> sat=<s> consensus=" under 32.
+  size_t bytes = 32 + table.size();
+  for (const auto& result : results) {
+    bytes += 32 + 11 * result.second.consensus.order().size();
+  }
+  std::string response;
+  response.reserve(bytes);
+  response.append("OK RUN ").append(table).append(" gen=");
+  AppendInt(&response, generation);
+  for (const auto& [spec, output] : results) {
+    AppendMethodResult(&response, spec->id, output);
+  }
+  return response;
 }
 
-std::string HandleSnapshot(ContextManager* manager,
-                           const std::vector<std::string>& tokens) {
+std::string HandleSnapshot(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() != 3 && !(tokens.size() == 4 && tokens[3] == "EXACT")) {
     return Err("bad-request", "SNAPSHOT <table> <path> [EXACT]");
   }
   const bool exact = tokens.size() == 4;
+  const std::string table(tokens[1]);
+  const std::string path(tokens[2]);
   // Probe the write target BEFORE draining: the common failure — an
   // unwritable path — must reject with zero state change, keeping the
   // ERR-implies-untouched contract. Only a failure of the stream itself
   // (e.g. disk full mid-write) can still follow the drain; the completed
   // drain then stands, exactly as a FLUSH would.
-  if (!ProbeSnapshotWritable(tokens[2])) {
-    return Err("io", "cannot open snapshot for writing: " + tokens[2]);
+  if (!ProbeSnapshotWritable(path)) {
+    return Err("io", "cannot open snapshot for writing: " + path);
   }
   const TableSnapshot snapshot = manager->SnapshotTable(
-      tokens[1],
-      exact ? SnapshotMode::kExact : SnapshotMode::kSummarized);
+      table, exact ? SnapshotMode::kExact : SnapshotMode::kSummarized);
   try {
-    WriteTableSnapshotFile(tokens[2], snapshot);
+    WriteTableSnapshotFile(path, snapshot);
   } catch (const std::runtime_error& e) {
     return Err("io", e.what());
   }
   std::ostringstream os;
-  os << "OK SNAPSHOT " << tokens[1]
+  os << "OK SNAPSHOT " << table
      << " rankings=" << snapshot.summary.num_rankings
      << " generation=" << snapshot.summary.generation
      << " precedence=" << (snapshot.summary.precedence != nullptr ? 1 : 0);
   if (exact) os << " exact=1";
-  os << " path=" << tokens[2];
+  os << " path=" << path;
   return os.str();
 }
 
 std::string HandleSnapshotPolicy(ContextManager* manager,
                                  DurabilityManager* durability,
-                                 const std::vector<std::string>& tokens) {
+                                 const Tokens& tokens) {
   static constexpr char kUsage[] =
       "SNAPSHOT-POLICY <table> GENERATIONS <n> | SECONDS <s> | OFF";
   if (tokens.size() < 3) return Err("bad-request", kUsage);
@@ -430,8 +474,8 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     return Err("unavailable",
                "SNAPSHOT-POLICY requires the --log-dir durability layer");
   }
-  const std::string& table = tokens[1];
-  const std::string& mode = tokens[2];
+  const std::string table(tokens[1]);
+  const std::string_view mode = tokens[2];
   DurabilityManager::Policy policy;
   if (mode == "OFF") {
     if (tokens.size() != 3) {
@@ -444,8 +488,8 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     const auto n = ParseLong(tokens[3]);
     if (!n || *n < 1) {
       return Err("bad-request",
-                 "GENERATIONS needs a positive integer, got '" + tokens[3] +
-                     "'");
+                 "GENERATIONS needs a positive integer, got '" +
+                     std::string(tokens[3]) + "'");
     }
     policy.kind = DurabilityManager::Policy::Kind::kGenerations;
     policy.every_generations = static_cast<uint64_t>(*n);
@@ -457,7 +501,8 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     // `> 0` also rejects NaN.
     if (!s || !(*s > 0)) {
       return Err("bad-request",
-                 "SECONDS needs a positive number, got '" + tokens[3] + "'");
+                 "SECONDS needs a positive number, got '" +
+                     std::string(tokens[3]) + "'");
     }
     policy.kind = DurabilityManager::Policy::Kind::kSeconds;
     policy.every_seconds = *s;
@@ -474,14 +519,13 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
   return os.str();
 }
 
-std::string HandleRestore(ContextManager* manager,
-                          const std::vector<std::string>& tokens) {
+std::string HandleRestore(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() != 3) {
     return Err("bad-request", "RESTORE <table> <path>");
   }
   std::optional<TableSnapshot> snapshot;
   try {
-    snapshot.emplace(ReadTableSnapshotFile(tokens[2]));
+    snapshot.emplace(ReadTableSnapshotFile(std::string(tokens[2])));
   } catch (const SnapshotFormatError& e) {
     // Corrupt / truncated / version-mismatched file: distinct code, and
     // nothing was registered — the manager state is untouched.
@@ -489,10 +533,10 @@ std::string HandleRestore(ContextManager* manager,
   } catch (const std::runtime_error& e) {
     return Err("io", e.what());
   }
-  const TableStats stats =
-      manager->RestoreTable(tokens[1], std::move(*snapshot));
+  const std::string table(tokens[1]);
+  const TableStats stats = manager->RestoreTable(table, std::move(*snapshot));
   std::ostringstream os;
-  os << "OK RESTORE " << tokens[1] << " candidates=" << stats.num_candidates
+  os << "OK RESTORE " << table << " candidates=" << stats.num_candidates
      << " rankings=" << stats.num_rankings
      << " generation=" << stats.generation;
   return os.str();
@@ -514,14 +558,22 @@ std::string Dispatcher::Handle(const std::string& line) {
 }
 
 std::string Dispatcher::HandleRequest(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0][0] == '#') return "";
-  const std::string& verb = tokens[0];
+  LineTokenizer cursor(line);
+  const std::string_view verb = cursor.Next();
+  if (verb.empty() || verb[0] == '#') return "";
   try {
+    if (verb == "APPEND") return HandleAppend(manager_, &cursor);
+    if (verb == "EVAL") return HandleEval(manager_, &cursor);
+    // Every other verb takes a handful of tokens.
+    Tokens tokens = {verb};
+    for (std::string_view token = cursor.Next(); !token.empty();
+         token = cursor.Next()) {
+      tokens.push_back(token);
+    }
+    // Addressed table (an arity check guards every use).
+    const std::string table(tokens.size() > 1 ? tokens[1] : "");
     if (verb == "CREATE") return HandleCreate(manager_, tokens);
-    if (verb == "APPEND") return HandleAppend(manager_, tokens);
     if (verb == "RUN") return HandleRun(manager_, tokens);
-    if (verb == "EVAL") return HandleEval(manager_, tokens);
     if (verb == "SELECT") return HandleSelect(manager_, tokens);
     if (verb == "REPLICATE") {
       // The executor intercepts REPLICATE before dispatch; reaching this
@@ -529,8 +581,8 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
       // binary stream (stdin, script replay). Validate anyway so every
       // front end agrees on the failure modes.
       if (tokens.size() != 2) return Err("bad-request", "REPLICATE <table>");
-      if (!manager_->Has(tokens[1])) {
-        return Err("no-such-table", "no such table: " + tokens[1]);
+      if (!manager_->Has(table)) {
+        return Err("no-such-table", "no such table: " + table);
       }
       if (durability_ == nullptr) {
         return Err("unavailable",
@@ -552,20 +604,20 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
       if (!index || *index < 0) {
         return Err("bad-index",
                    "REMOVE index must be a non-negative integer, got '" +
-                       tokens[2] + "'");
+                       std::string(tokens[2]) + "'");
       }
       const TableStats stats =
-          manager_->Remove(tokens[1], static_cast<size_t>(*index));
+          manager_->Remove(table, static_cast<size_t>(*index));
       std::ostringstream os;
-      os << "OK REMOVE " << tokens[1] << " index=" << *index
+      os << "OK REMOVE " << table << " index=" << *index
          << " pending_ops=" << stats.pending_ops;
       return os.str();
     }
     if (verb == "STATS") {
       if (tokens.size() != 2) return Err("bad-request", "STATS <table>");
-      const TableStats stats = manager_->Stats(tokens[1]);
+      const TableStats stats = manager_->Stats(table);
       std::ostringstream os;
-      os << "OK STATS " << tokens[1] << " candidates=" << stats.num_candidates
+      os << "OK STATS " << table << " candidates=" << stats.num_candidates
          << " rankings=" << stats.num_rankings
          << " generation=" << stats.generation
          << " pending_ops=" << stats.pending_ops
@@ -588,7 +640,7 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
            << " replica_connected=" << (stats.replica_connected ? 1 : 0);
       }
       if (durability_ != nullptr) {
-        const auto d = durability_->StatsFor(tokens[1]);
+        const auto d = durability_->StatsFor(table);
         if (d.has_value()) {
           os << " oplog_records=" << d->log_records
              << " oplog_bytes=" << d->log_bytes
@@ -602,15 +654,15 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
     }
     if (verb == "FLUSH") {
       if (tokens.size() != 2) return Err("bad-request", "FLUSH <table>");
-      const size_t applied = manager_->Flush(tokens[1]);
+      const size_t applied = manager_->Flush(table);
       std::ostringstream os;
-      os << "OK FLUSH " << tokens[1] << " applied=" << applied;
+      os << "OK FLUSH " << table << " applied=" << applied;
       return os.str();
     }
     if (verb == "DROP") {
       if (tokens.size() != 2) return Err("bad-request", "DROP <table>");
-      manager_->Drop(tokens[1]);
-      return "OK DROP " + tokens[1];
+      manager_->Drop(table);
+      return "OK DROP " + table;
     }
     if (verb == "TABLES") {
       if (tokens.size() != 1) return Err("bad-request", "TABLES");
@@ -628,7 +680,7 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
       }
       return metrics_provider_();
     }
-    return Err("unknown-verb", verb);
+    return Err("unknown-verb", std::string(verb));
   } catch (const std::out_of_range& e) {
     return Err("bad-index", e.what());
   } catch (const ReadOnlyTableError& e) {
@@ -692,27 +744,9 @@ int Dispatcher::ServeStream(std::istream& in, std::ostream& out, bool echo) {
 
 RequestClass ClassifyRequest(const std::string& line) {
   // Only the first two tokens matter, and an APPEND payload can be
-  // megabytes — scan just the prefix instead of tokenizing the line
-  // (Handle re-tokenizes anyway). The scan mirrors Tokenize exactly:
-  // space/tab/CR separate, ';' is always its own token.
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r';
-  };
-  const auto next_token = [&](size_t* pos) {
-    while (*pos < line.size() && is_space(line[*pos])) ++*pos;
-    const size_t begin = *pos;
-    if (begin == line.size()) return std::string();
-    if (line[begin] == ';') {
-      ++*pos;
-      return std::string(";");
-    }
-    while (*pos < line.size() && !is_space(line[*pos]) && line[*pos] != ';') {
-      ++*pos;
-    }
-    return line.substr(begin, *pos - begin);
-  };
-  size_t pos = 0;
-  const std::string verb = next_token(&pos);
+  // megabytes: read just those (Handle tokenizes the line again anyway).
+  LineTokenizer cursor(line);
+  const std::string_view verb = cursor.Next();
   RequestClass cls;
   if (verb.empty() || verb[0] == '#') {
     cls.no_response = true;
@@ -723,10 +757,9 @@ RequestClass ClassifyRequest(const std::string& line) {
                          verb == "RUN" || verb == "STATS" ||
                          verb == "FLUSH" || verb == "EVAL" ||
                          verb == "SELECT";
-  std::string table;
-  if (per_table) table = next_token(&pos);
-  if (per_table && !table.empty()) {
-    cls.table = std::move(table);
+  const std::string_view table = per_table ? cursor.Next() : "";
+  if (!table.empty()) {
+    cls.table = std::string(table);
     cls.draining = verb == "RUN" || verb == "FLUSH";
     cls.compute = verb == "EVAL" || verb == "SELECT";
   } else {

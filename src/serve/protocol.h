@@ -4,11 +4,43 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/candidate_table.h"
 #include "serve/context_manager.h"
 
 namespace manirank::serve {
+
+/// The request-line tokenizer — the one definition of a token that the
+/// Dispatcher, ClassifyRequest and the executor's REPLICATE intercept all
+/// share. Space, tab and CR separate tokens; ';' is always a token of its
+/// own, so an APPEND payload may write "0 1 2; 2 1 0". Every other byte
+/// (including '\v', '\f' and NUL) belongs to a token. Tokens are views
+/// into the line: nothing is copied or allocated.
+class LineTokenizer {
+ public:
+  explicit LineTokenizer(std::string_view line) : line_(line) {}
+
+  /// Returns the next token, or an empty view once the line is exhausted
+  /// (tokens are never empty, so empty means end).
+  std::string_view Next() {
+    while (pos_ < line_.size() && IsSeparator(line_[pos_])) ++pos_;
+    const size_t begin = pos_;
+    if (begin == line_.size()) return {};
+    if (line_[begin] == ';') return line_.substr(pos_++, 1);
+    while (pos_ < line_.size() && !IsSeparator(line_[pos_]) &&
+           line_[pos_] != ';') {
+      ++pos_;
+    }
+    return line_.substr(begin, pos_ - begin);
+  }
+
+ private:
+  static bool IsSeparator(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+  std::string_view line_;
+  size_t pos_ = 0;
+};
 
 /// Line-oriented request protocol over a ContextManager. One request per
 /// line, one response line per request; responses start with "OK" or
@@ -16,8 +48,9 @@ namespace manirank::serve {
 /// (no response). The same grammar is served by the manirank_serve binary
 /// (stdin, --script replay, or socket) and bench_serving.
 ///
-/// Grammar (tokens are whitespace-separated; ';' separates rankings in an
-/// APPEND payload and may be glued to a number):
+/// Grammar (tokens as LineTokenizer splits them: space, tab and CR
+/// separate, and ';' — which separates rankings in an APPEND payload — is
+/// a token of its own even when glued to a number):
 ///
 ///   CREATE   <table> FILE <table.csv> [RANKINGS <rankings.csv>]
 ///   CREATE   <table> CYCLIC <n> <d0> <d1>
@@ -39,8 +72,12 @@ namespace manirank::serve {
 ///
 /// CREATE..CYCLIC builds the deterministic two-attribute table where
 /// candidate i carries values (i % d0, (i / d0) % d1) — handy for scripts
-/// and tests that need no CSV files. APPEND payloads are candidate ids
-/// best-first and must form a permutation of 0..n-1. REMOVE addresses the
+/// and tests that need no CSV files; CREATE refuses tables of more than
+/// 5000 candidates (CYCLIC and FILE alike). APPEND payloads are candidate
+/// ids best-first and must form a permutation of 0..n-1. A candidate id
+/// is what strtol accepts for the whole token in base 10 (leading '\v' /
+/// '\f', optional sign, digits; "+5", "-0" and "007" are ids), within
+/// 0..2147483647. REMOVE addresses the
 /// *virtual* profile (applied rankings plus queued mutations). RUN drains
 /// the table's mutation queue, then runs one registry method (or every
 /// method the table supports for "all") and reports each consensus as

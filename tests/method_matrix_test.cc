@@ -57,9 +57,10 @@ TEST_P(MethodMatrixTest, UniversalMethodContracts) {
   double kemeny_loss = -1.0;
   for (const MethodSpec& method : AllMethods()) {
     ConsensusOutput out = method.run(ctx, options);
-    // Contract 1: a valid permutation of the right size, always.
+    // Contract 1: a permutation of 0..n-1, always.
     ASSERT_EQ(out.consensus.size(), n) << method.name;
-    ASSERT_TRUE(Ranking::IsValidOrder(out.consensus.order())) << method.name;
+    ASSERT_TRUE(testing::IsPermutationOfRange(out.consensus.order(), n))
+        << method.name;
     // Contract 2: PD loss within [0, 1].
     const double loss = PdLoss(base_, out.consensus);
     ASSERT_GE(loss, 0.0) << method.name;

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/ranking.h"
+#include "test_util.h"
 #include "data/op_log.h"
 #include "serve/context_manager.h"
 #include "util/rng.h"
@@ -44,6 +47,35 @@ class ProtocolTest : public ::testing::Test {
   /// table has been dropped (fuzzing can legitimately issue DROP t), the
   /// stable "ERR no-such-table" response doubles as the snapshot.
   std::string StateSnapshot() { return Handle("STATS t"); }
+
+  /// Asserts that every consensus= list of an "OK RUN <table> ..."
+  /// response is a permutation of 0..n-1, n being the table's candidate
+  /// count (read with STATS, which changes nothing). Returns the number of
+  /// lists checked.
+  int ExpectConsensusPermutations(const std::string& response) {
+    std::istringstream fields(response);
+    std::string ok, verb, table;
+    fields >> ok >> verb >> table;
+    const std::string stats = Handle("STATS " + table);
+    const size_t at = stats.find(" candidates=");
+    EXPECT_NE(at, std::string::npos) << stats;
+    if (at == std::string::npos) return 0;
+    const int n = std::atoi(stats.c_str() + at + 12);
+    int lists = 0;
+    for (std::string field; fields >> field;) {
+      if (field.rfind("consensus=", 0) != 0) continue;
+      std::vector<CandidateId> order;
+      std::istringstream ids(field.substr(10));
+      for (std::string id; std::getline(ids, id, ',');) {
+        order.push_back(std::stoi(id));
+      }
+      EXPECT_TRUE(testing::IsPermutationOfRange(order, n))
+          << "'" << response << "' is not a permutation of 0.." << n - 1;
+      ++lists;
+    }
+    EXPECT_GT(lists, 0) << response;
+    return lists;
+  }
 
   ContextManager manager_;
   std::unique_ptr<Dispatcher> dispatcher_;
@@ -128,6 +160,33 @@ TEST_F(ProtocolTest, MalformedRequestsErrAndLeaveStateUnchanged) {
   }
   // And the table still serves correctly after the abuse.
   EXPECT_TRUE(IsOk(Handle("RUN t A4")));
+}
+
+TEST_F(ProtocolTest, CreateFileRefusesTablesOverTheCandidateCap) {
+  // CREATE..FILE shares CYCLIC's n <= 5000 cap: the first precedence
+  // method would otherwise densify an 8 n^2-byte matrix, failing as a
+  // bad_alloc or an OOM kill instead of a refusal up front.
+  const std::string dir = ::testing::TempDir() + "manirank_create_cap";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto write_table = [&](int n) {
+    const std::string path = dir + "/t" + std::to_string(n) + ".csv";
+    std::ofstream csv(path);
+    csv << "candidate,G\n";
+    for (int c = 0; c < n; ++c) csv << c << ',' << (c % 2 ? 'a' : 'b') << '\n';
+    return path;
+  };
+  const std::string tables = Handle("TABLES");
+  EXPECT_EQ(Handle("CREATE big FILE " + write_table(5001)),
+            "ERR bad-request: FILE size out of range (n <= 5000, got 5001)");
+  EXPECT_EQ(Handle("CREATE big FILE " + write_table(5001) + " RANKINGS " +
+                   dir + "/none.csv"),
+            "ERR bad-request: FILE size out of range (n <= 5000, got 5001)");
+  EXPECT_EQ(Handle("TABLES"), tables);
+  // The cap is inclusive, like CYCLIC's.
+  EXPECT_EQ(Handle("CREATE edge FILE " + write_table(5000)),
+            "OK CREATE edge candidates=5000 rankings=0");
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ProtocolTest, DuplicateCreateDrawsTableExistsCode) {
@@ -355,7 +414,20 @@ TEST_F(ProtocolTest, FuzzedRequestLinesNeverCrashOrCorrupt) {
       "EVAL",   "REPLICATE"};
   int errs = 0;
   int oks = 0;
+  int consensus_lists = 0;
+  // Well-formed RUN probes between fuzz rounds (they draw no randomness,
+  // so the fuzz lines are unchanged): the fuzz alone rarely forms one.
+  const std::vector<std::string> run_probes = {
+      "all", "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "all DELTA 0.01"};
   for (int round = 0; round < 400; ++round) {
+    if (round % 20 == 0) {
+      const std::string probe = "RUN t " + run_probes[(round / 20) %
+                                                      run_probes.size()];
+      const std::string response = Handle(probe);
+      if (response.rfind("OK RUN ", 0) == 0) {
+        consensus_lists += ExpectConsensusPermutations(response);
+      }
+    }
     std::ostringstream line;
     const int tokens = 1 + static_cast<int>(rng.NextUint64(8));
     for (int i = 0; i < tokens; ++i) {
@@ -374,11 +446,16 @@ TEST_F(ProtocolTest, FuzzedRequestLinesNeverCrashOrCorrupt) {
           << "request '" << line.str() << "' errored but changed state";
     } else {
       ++oks;
+      if (response.rfind("OK RUN ", 0) == 0) {
+        consensus_lists += ExpectConsensusPermutations(response);
+      }
     }
   }
   // The vocabulary is rigged so both outcomes occur.
   EXPECT_GT(errs, 50);
   EXPECT_GT(oks, 0);
+  // Every OK consensus is a permutation of 0..n-1.
+  EXPECT_GT(consensus_lists, 0);
   // The dispatcher is still fully servable after the storm: a fresh
   // table created post-fuzz serves a clean wave.
   EXPECT_TRUE(IsOk(Handle("CREATE postfuzz CYCLIC 6 2 2")));

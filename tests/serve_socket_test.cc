@@ -23,12 +23,14 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/context_manager.h"
+#include "serve/durability.h"
 #include "serve/protocol.h"
 #include "serve_test_util.h"
 
@@ -212,6 +214,41 @@ TEST(ServeSocketTest, ExecutorDeliversOversizeLineError) {
   EXPECT_EQ(lines[0], "OK CREATE t candidates=6 rankings=0");
   EXPECT_EQ(lines[1], "ERR bad-request: request line exceeds 16 MiB");
   server.Shutdown();
+}
+
+TEST(ServeSocketTest, ExecutorReplicateReadsTheTableLikeTheDispatcher) {
+  // The REPLICATE intercept tokenizes with the dispatcher's tokenizer,
+  // where '\v' is not a separator: "REPLICATE t\v" names table "t\v" and
+  // draws the dispatcher's no-such-table — it must not open a replication
+  // stream for table "t".
+  const std::string dir = ::testing::TempDir() + "manirank_socket_replicate";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ContextManager manager;
+  serve::DurabilityManager durability(dir, &manager);
+  durability.Attach();
+  ServerOptions options;
+  options.durability = &durability;
+  ServeExecutor server(&manager, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client client(server.port());
+  ASSERT_TRUE(client.Send("CREATE t CYCLIC 6 2 2\nREPLICATE t\v\nSTATS t\n"));
+  const std::vector<std::string> lines = client.ReadLines(3);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], "OK CREATE t candidates=6 rankings=0");
+  EXPECT_EQ(lines[1], "ERR no-such-table: no such table: t\v");
+  EXPECT_EQ(lines[2].rfind("OK STATS t ", 0), 0u) << lines[2];
+
+  // Control: without the stray byte the same request opens the stream.
+  Client stream(server.port());
+  ASSERT_TRUE(stream.Send("REPLICATE t\n"));
+  const std::vector<std::string> head = stream.ReadLines(1);
+  ASSERT_EQ(head.size(), 1u);
+  EXPECT_EQ(head[0].rfind("OK REPLICATE t ", 0), 0u) << head[0];
+  server.Shutdown();
+  std::filesystem::remove_all(dir);
 }
 
 /// A pipelined burst far beyond the in-flight budget: the executor stops

@@ -1,6 +1,7 @@
 #ifndef MANIRANK_TESTS_TEST_UTIL_H_
 #define MANIRANK_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -78,6 +79,18 @@ inline Ranking RandomRanking(int n, Rng* rng) {
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
   return Ranking(std::move(order));
+}
+
+/// True iff `order` lists every candidate 0..n-1 exactly once. Written
+/// without Ranking::IsValidOrder so it checks that validator's users
+/// independently.
+inline bool IsPermutationOfRange(std::vector<CandidateId> order, int n) {
+  if (order.size() != static_cast<size_t>(n)) return false;
+  std::sort(order.begin(), order.end());
+  for (int i = 0; i < n; ++i) {
+    if (order[i] != i) return false;
+  }
+  return true;
 }
 
 /// Random candidate table with the given attribute domain sizes; every
