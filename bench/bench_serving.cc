@@ -63,7 +63,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -71,9 +70,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
-#include <mutex>
 #endif
 
 namespace {
@@ -738,300 +735,6 @@ OpLogBench RunOpLogBench(bool quick) {
   return bench;
 }
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
-std::string AsyncRankingText(int n, int rotation) {
-  std::ostringstream os;
-  for (int i = 0; i < n; ++i) {
-    if (i != 0) os << ' ';
-    os << (i + rotation) % n;
-  }
-  return os.str();
-}
-
-/// Blocking loopback client for the event-loop scaling legs.
-class AsyncClientSocket {
- public:
-  explicit AsyncClientSocket(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (fd_ < 0 || ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                             sizeof(addr)) != 0) {
-      std::fprintf(stderr, "async_epoll bench: cannot connect to 127.0.0.1:%d\n",
-                   port);
-      std::abort();
-    }
-    // Nagle would hold the pipeline's final sub-MSS segment hostage to
-    // the server's delayed ACK (~40 ms) — fatal for a latency bench.
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  ~AsyncClientSocket() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void Send(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-#ifdef MSG_NOSIGNAL
-                               MSG_NOSIGNAL
-#else
-                               0
-#endif
-      );
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        std::fprintf(stderr, "async_epoll bench: send failed\n");
-        std::abort();
-      }
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  /// Reads `count` response lines.
-  void ReadResponses(size_t count, std::vector<std::string>* lines) {
-    size_t got_lines = 0;
-    while (got_lines < count) {
-      char chunk[65536];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        std::fprintf(stderr, "async_epoll bench: connection died mid-response\n");
-        std::abort();
-      }
-      buffer_.append(chunk, static_cast<size_t>(n));
-      size_t start = 0;
-      for (size_t nl = buffer_.find('\n'); nl != std::string::npos;
-           nl = buffer_.find('\n', start)) {
-        lines->push_back(buffer_.substr(start, nl - start));
-        start = nl + 1;
-        ++got_lines;
-        if (got_lines == count) break;
-      }
-      buffer_.erase(0, start);
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-// --- epoll vs poll event-loop scaling --------------------------------------
-//
-// The `async_epoll` section measures the readiness backends head to head
-// on the axis they differ on: wake cost per ready connection. C clients
-// each pipeline an identical read-only STATS stream (served inline on
-// the event loop, so the worker pool is idle and the measurement is pure
-// I/O machinery), against poll with a single loop and against epoll with
-// the default sharded loop count. Every connection's response stream is
-// equivalence-checked against a synchronous Dispatcher replay. On a
-// one-core host the two converge — the CI gate only applies with >= 2
-// cores and a real epoll backend.
-
-/// Raises RLIMIT_NOFILE toward its hard limit so the 512-connection
-/// point fits (each connection costs a client fd + an accepted fd).
-void RaiseFdLimit() {
-  struct rlimit limit;
-  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return;
-  const rlim_t target = limit.rlim_max == RLIM_INFINITY
-                            ? static_cast<rlim_t>(8192)
-                            : std::min<rlim_t>(limit.rlim_max, 8192);
-  if (limit.rlim_cur < target) {
-    limit.rlim_cur = target;
-    ::setrlimit(RLIMIT_NOFILE, &limit);
-  }
-}
-
-size_t MaxAffordableConnections() {
-  struct rlimit limit;
-  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 128;
-  const rlim_t slack = 128;
-  if (limit.rlim_cur <= slack) return 16;
-  return static_cast<size_t>((limit.rlim_cur - slack) / 2);
-}
-
-struct EpollScalePoint {
-  int connections = 0;
-  long requests = 0;  // whole scenario, all connections
-  double poll_seconds = 0.0;
-  double epoll_seconds = 0.0;
-};
-
-struct EpollScaleBench {
-  size_t cores = 0;
-  int requests_per_connection = 0;
-  int reps = 0;
-  std::string poll_backend;   // resolved names: the "epoll" config falls
-  std::string epoll_backend;  // back to poll off Linux
-  size_t epoll_loops = 0;
-  std::vector<EpollScalePoint> points;
-};
-
-/// One scenario: C identical pipelining clients against a fresh server.
-/// Returns the wall-clock from the post-connect barrier to the last
-/// drained response stream; aborts on any drift from `expected`.
-double RunEpollScalePoint(const serve::ServerOptions& options, int connections,
-                          const std::vector<std::string>& seed,
-                          const std::string& wire,
-                          const std::vector<std::string>& expected,
-                          std::string* backend, size_t* loops) {
-  serve::ContextManager manager;
-  serve::ServeExecutor server(&manager, options);
-  std::string error;
-  if (!server.Start(&error)) {
-    std::fprintf(stderr, "async_epoll bench: %s\n", error.c_str());
-    std::abort();
-  }
-  if (backend != nullptr) *backend = server.poller_name();
-  if (loops != nullptr) *loops = server.io_loops();
-  {
-    AsyncClientSocket seeder(server.port());
-    std::string seed_wire;
-    for (const std::string& request : seed) {
-      seed_wire += request;
-      seed_wire += '\n';
-    }
-    seeder.Send(seed_wire);
-    std::vector<std::string> lines;
-    seeder.ReadResponses(seed.size(), &lines);
-    for (const std::string& line : lines) {
-      if (line.rfind("OK ", 0) != 0) {
-        std::fprintf(stderr, "async_epoll bench: seed failed: %s\n",
-                     line.c_str());
-        std::abort();
-      }
-    }
-  }
-  // Connect everyone first (untimed), then release the pipeline storm
-  // through a condvar: 512 yield-spinners would trample the accept path
-  // on a small host.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool go = false;
-  std::atomic<int> ready{0};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(connections));
-  Stopwatch timer;
-  for (int c = 0; c < connections; ++c) {
-    threads.emplace_back([&] {
-      AsyncClientSocket socket(server.port());
-      ready.fetch_add(1);
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return go; });
-      }
-      socket.Send(wire);
-      std::vector<std::string> lines;
-      socket.ReadResponses(expected.size(), &lines);
-      if (lines != expected) mismatches.fetch_add(1);
-    });
-  }
-  while (ready.load() < connections) std::this_thread::yield();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    timer.Restart();
-    go = true;
-  }
-  cv.notify_all();
-  for (std::thread& t : threads) t.join();
-  const double seconds = timer.Seconds();
-  server.Shutdown();
-  if (mismatches.load() != 0) {
-    std::fprintf(stderr,
-                 "FATAL: async_epoll (%s, %d connections) response streams "
-                 "drifted from the synchronous dispatcher on %d connections\n",
-                 backend != nullptr ? backend->c_str() : "?", connections,
-                 mismatches.load());
-    std::abort();
-  }
-  return seconds;
-}
-
-EpollScaleBench RunEpollScaleBench(bool quick) {
-  RaiseFdLimit();
-  EpollScaleBench bench;
-  bench.cores = std::max<size_t>(1, DefaultThreadCount());
-  bench.requests_per_connection = quick ? 24 : 64;
-  bench.reps = 2;
-
-  constexpr int kSeedTables = 8;
-  constexpr int kSeedN = 24;
-  std::vector<std::string> seed;
-  for (int t = 0; t < kSeedTables; ++t) {
-    const std::string table = "s" + std::to_string(t);
-    seed.push_back("CREATE " + table + " CYCLIC " + std::to_string(kSeedN) +
-                   " 2 2");
-    seed.push_back("APPEND " + table + " " + AsyncRankingText(kSeedN, t));
-    seed.push_back("APPEND " + table + " " + AsyncRankingText(kSeedN, t + 3));
-  }
-  std::vector<std::string> client_requests;
-  for (int r = 0; r < bench.requests_per_connection; ++r) {
-    client_requests.push_back("STATS s" + std::to_string(r % kSeedTables));
-  }
-  std::string wire;
-  for (const std::string& request : client_requests) {
-    wire += request;
-    wire += '\n';
-  }
-  std::vector<std::string> expected;
-  {
-    serve::ContextManager manager;
-    serve::Dispatcher dispatcher(&manager);
-    for (const std::string& request : seed) dispatcher.Handle(request);
-    for (const std::string& request : client_requests) {
-      expected.push_back(dispatcher.Handle(request));
-    }
-  }
-
-  serve::ServerOptions poll_options;
-  poll_options.workers = 2;
-  poll_options.io_threads = 1;
-  poll_options.poller = PollerBackend::kPoll;
-  serve::ServerOptions epoll_options;
-  epoll_options.workers = 2;
-  epoll_options.io_threads = std::min<size_t>(4, bench.cores);
-  epoll_options.poller = DefaultPollerBackend();
-
-  const size_t affordable = MaxAffordableConnections();
-  for (const int connections : {16, 128, 512}) {
-    if (static_cast<size_t>(connections) > affordable) {
-      std::fprintf(stderr,
-                   "async_epoll bench: skipping %d connections "
-                   "(RLIMIT_NOFILE affords %zu)\n",
-                   connections, affordable);
-      continue;
-    }
-    EpollScalePoint point;
-    point.connections = connections;
-    point.requests =
-        static_cast<long>(connections) * bench.requests_per_connection;
-    for (int rep = 0; rep < bench.reps; ++rep) {
-      const double poll_seconds =
-          RunEpollScalePoint(poll_options, connections, seed, wire, expected,
-                             &bench.poll_backend, nullptr);
-      const double epoll_seconds =
-          RunEpollScalePoint(epoll_options, connections, seed, wire, expected,
-                             &bench.epoll_backend, &bench.epoll_loops);
-      if (rep == 0 || poll_seconds < point.poll_seconds) {
-        point.poll_seconds = poll_seconds;
-      }
-      if (rep == 0 || epoll_seconds < point.epoll_seconds) {
-        point.epoll_seconds = epoll_seconds;
-      }
-    }
-    bench.points.push_back(point);
-  }
-  return bench;
-}
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS
-
 }  // namespace
 
 // ---------------------------------------------------------- replication
@@ -1198,12 +901,7 @@ class ReplClient {
     size_t sent = 0;
     while (sent < bytes.size()) {
       const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-#ifdef MSG_NOSIGNAL
-                               MSG_NOSIGNAL
-#else
-                               0
-#endif
-      );
+                               MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) return false;
       sent += static_cast<size_t>(n);
@@ -1497,7 +1195,6 @@ int main() {
   CheckEquivalent(w, "batched_concurrent", concurrent, batched);
   CheckEquivalent(w, "per_request_rebuild", rebuild, batched);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  const EpollScaleBench epoll_scale = RunEpollScaleBench(QuickMode());
   const ReplicationBench replication = RunReplicationBench(QuickMode());
 #endif
   const SnapshotBench snapshot = RunSnapshotBench(QuickMode());
@@ -1553,28 +1250,6 @@ int main() {
       select_cache.eval_n, select_cache.eval_rankings,
       select_cache.eval_cold_seconds, select_cache.eval_warm_seconds);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  std::fprintf(f,
-               "  \"async_epoll\": {\"cores\": %zu, "
-               "\"requests_per_connection\": %d, \"reps\": %d,\n"
-               "    \"poll\": {\"backend\": \"%s\", \"io_loops\": 1},\n"
-               "    \"epoll\": {\"backend\": \"%s\", \"io_loops\": %zu},\n"
-               "    \"points\": [",
-               epoll_scale.cores, epoll_scale.requests_per_connection,
-               epoll_scale.reps, epoll_scale.poll_backend.c_str(),
-               epoll_scale.epoll_backend.c_str(), epoll_scale.epoll_loops);
-  for (size_t i = 0; i < epoll_scale.points.size(); ++i) {
-    const EpollScalePoint& point = epoll_scale.points[i];
-    const double point_speedup = point.epoll_seconds > 0.0
-                                     ? point.poll_seconds / point.epoll_seconds
-                                     : 0.0;
-    std::fprintf(f,
-                 "%s\n      {\"connections\": %d, \"requests\": %ld, "
-                 "\"poll_seconds\": %.6f, \"epoll_seconds\": %.6f, "
-                 "\"speedup_epoll_vs_poll\": %.3f}",
-                 i == 0 ? "" : ",", point.connections, point.requests,
-                 point.poll_seconds, point.epoll_seconds, point_speedup);
-  }
-  std::fprintf(f, "]},\n");
   if (replication.skipped) {
     std::fprintf(f,
                  "  \"replication\": {\"skipped\": true, "
@@ -1645,17 +1320,6 @@ int main() {
   std::printf("batched vs rebuild: %.2fx   concurrent scaling: %.2fx\n",
               speedup, concurrent_speedup);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  for (const EpollScalePoint& point : epoll_scale.points) {
-    std::printf("async_epoll %4d conns: %s/1-loop %.4fs vs %s/%zu-loop "
-                "%.4fs -> %.2fx (%ld req, %zu cores)\n",
-                point.connections, epoll_scale.poll_backend.c_str(),
-                point.poll_seconds, epoll_scale.epoll_backend.c_str(),
-                epoll_scale.epoll_loops, point.epoll_seconds,
-                point.epoll_seconds > 0.0
-                    ? point.poll_seconds / point.epoll_seconds
-                    : 0.0,
-                point.requests, epoll_scale.cores);
-  }
   if (replication.skipped) {
     std::printf("replication: skipped (%s)\n",
                 replication.skip_reason.c_str());

@@ -21,17 +21,10 @@
 #include <utility>
 
 #include "serve/durability.h"
+#include "util/event_poller.h"
 
 namespace manirank::serve {
 namespace {
-
-/// Suppress SIGPIPE per-write where the platform allows it; serve_main
-/// additionally ignores the signal process-wide for its stream modes.
-#ifdef MSG_NOSIGNAL
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
 
 /// Longest request line eligible for the loop-thread inline fast path.
 /// Small enough that parsing + a non-blocking table op cannot stall the
@@ -85,13 +78,9 @@ int OpenListener(int port, bool reuseport, int* bound_port,
   }
   const int one = 1;
   ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#ifdef SO_REUSEPORT
   if (reuseport) {
     ::setsockopt(listener, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
   }
-#else
-  (void)reuseport;
-#endif
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -172,8 +161,7 @@ struct ServeExecutor::Conn {
   /// destroys the tail of the response stream).
   bool discarding = false;
   /// Edge-triggered readiness latch: the poller reported the fd readable
-  /// and it has not been drained to EAGAIN since. The poll backend
-  /// re-reports a still-ready level, which merely re-sets this.
+  /// and it has not been drained to EAGAIN since.
   bool read_ready = false;
   /// An error/hangup edge not yet acted on.
   bool saw_error = false;
@@ -182,10 +170,6 @@ struct ServeExecutor::Conn {
   /// Currently counted as backpressure-stalled (counts transitions, not
   /// service passes).
   bool stalled = false;
-  /// The poll backend's currently-declared interest (epoll registers
-  /// both directions edge-triggered once and never updates).
-  bool poll_want_read = true;
-  bool poll_want_write = false;
   /// During shutdown a discarding client gets a bounded linger to close
   /// its end, then is dropped — one idle peer must not hang Shutdown().
   std::chrono::steady_clock::time_point discard_deadline{};
@@ -243,7 +227,7 @@ struct ServeExecutor::Conn {
   size_t send_offset = 0;
 };
 
-/// One event loop: poller + SO_REUSEPORT listener + wake pipe +
+/// One event loop: epoll instance + SO_REUSEPORT listener + wake pipe +
 /// emergency fd + every connection the kernel sharded to it.
 struct ServeExecutor::IoLoop {
   size_t index = 0;
@@ -251,11 +235,8 @@ struct ServeExecutor::IoLoop {
   int wake_fds[2] = {-1, -1};
   /// Reserved fd burned to accept-then-reject on EMFILE/ENFILE.
   int emergency_fd = -1;
-  /// Edge-triggered backend (epoll): register both directions once;
-  /// otherwise maintain the poll interest set per connection.
-  bool et = false;
   std::atomic<bool> wake_pending{false};
-  std::unique_ptr<EventPoller> poller;
+  EventPoller poller;
   std::thread thread;
   /// Event-data sentinels distinguishing the wake pipe and listener from
   /// connection pointers.
@@ -374,17 +355,11 @@ bool ServeExecutor::Start(std::string* error) {
     if (error != nullptr) *error = "executor already started";
     return false;
   }
-  backend_ = ResolvePollerBackend(options_.poller);
   size_t nloops = options_.io_threads;
   if (nloops == 0) {
     nloops = std::min<size_t>(4, std::max<size_t>(1, DefaultThreadCount()));
   }
   nloops = std::min(std::max<size_t>(1, nloops), kMaxThreads);
-#ifndef SO_REUSEPORT
-  // Without kernel accept sharding, a second listener on the same port
-  // cannot bind; run the single-loop topology.
-  nloops = 1;
-#endif
   const auto cleanup = [this] {
     for (auto& loop : loops_) {
       if (loop->listener >= 0) ::close(loop->listener);
@@ -419,10 +394,13 @@ bool ServeExecutor::Start(std::string* error) {
       return false;
     }
     l.emergency_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    l.poller = MakeEventPoller(backend_);
-    l.et = l.poller->backend() == PollerBackend::kEpoll;
-    if (!l.poller->Add(l.wake_fds[0], true, false, &l.wake_tag) ||
-        !l.poller->Add(l.listener, true, false, &l.listener_tag)) {
+    if (!l.poller.Open()) {
+      Fail(error, "epoll_create1");
+      cleanup();
+      return false;
+    }
+    if (!l.poller.Add(l.wake_fds[0], true, false, &l.wake_tag) ||
+        !l.poller.Add(l.listener, true, false, &l.listener_tag)) {
       Fail(error, "poller registration");
       cleanup();
       return false;
@@ -431,8 +409,6 @@ bool ServeExecutor::Start(std::string* error) {
     // racing Start).
     l.accept_ready = true;
   }
-  // MakeEventPoller may have degraded the request (epoll_create1 failure).
-  backend_ = loops_.front()->poller->backend();
   io_loops_ = nloops;
   pool_ = std::make_unique<TaskPool>(options_.workers);
   // Park-instead-of-block for draining verbs (see DispatchLocked); the
@@ -449,8 +425,7 @@ bool ServeExecutor::Start(std::string* error) {
   if (options_.log != nullptr) {
     *options_.log << "manirank_serve executor listening on 127.0.0.1:"
                   << port_ << " (" << options_.workers << " workers, "
-                  << io_loops_ << " io-loops, " << PollerBackendName(backend_)
-                  << ")\n";
+                  << io_loops_ << " io-loops, epoll)\n";
   }
   return true;
 }
@@ -513,7 +488,7 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
   for (;;) {
     const bool stopping = stopping_.load();
     if (stopping && loop.listener >= 0) {
-      loop.poller->Remove(loop.listener);
+      loop.poller.Remove(loop.listener);
       ::close(loop.listener);
       loop.listener = -1;
       loop.accept_ready = false;
@@ -606,7 +581,7 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
         if (timeout_ms < 0 || bounded < timeout_ms) timeout_ms = bounded;
       }
     }
-    const int rc = loop.poller->Wait(&events, timeout_ms);
+    const int rc = loop.poller.Wait(&events, timeout_ms);
     if (rc < 0) break;  // poller failed: abandon ship (teardown below)
     for (const PolledEvent& event : events) {
       if (event.data == &loop.wake_tag) {
@@ -641,7 +616,7 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
   // Defensive teardown for the poller-failure exit: Shutdown's cleanup
   // assumes the loop closed everything it owned.
   for (auto& [fd, conn] : loop.conns) {
-    loop.poller->Remove(fd);
+    loop.poller.Remove(fd);
     {
       std::lock_guard<std::mutex> wlock(conn->write_mu);
       ::close(fd);
@@ -669,7 +644,10 @@ void ServeExecutor::AcceptReady(IoLoop& loop) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EMFILE || errno == ENFILE) {
-        RejectOverloadedAccept(loop);
+        // accept() reserves the fd before it looks at the backlog, so
+        // EMFILE does not mean a connection is waiting: stop the sweep
+        // once the reserve slot finds none.
+        if (!RejectOverloadedAccept(loop)) return;
         continue;
       }
       if (errno == ENOBUFS || errno == ENOMEM) {
@@ -696,14 +674,11 @@ void ServeExecutor::AcceptReady(IoLoop& loop) {
     // the drain observer — never inline on a loop thread.
     conn->dispatcher.set_durability(options_.durability,
                                     /*inline_policy_eval=*/false);
-    // Register both directions under epoll (edge-triggered, set once);
-    // the poll backend starts read-only and maintains interest per pass.
-    if (!loop.poller->Add(fd, true, loop.et, conn.get())) {
+    // Both directions, edge-triggered, registered once for life.
+    if (!loop.poller.Add(fd, true, true, conn.get())) {
       ::close(fd);
       continue;
     }
-    conn->poll_want_read = true;
-    conn->poll_want_write = loop.et;
     // Data may have raced the registration; force one read attempt.
     conn->read_ready = true;
     conn->in_service = true;
@@ -715,7 +690,7 @@ void ServeExecutor::AcceptReady(IoLoop& loop) {
   }
 }
 
-void ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
+bool ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
   // Out of descriptors: burn the reserve to accept into the freed slot,
   // tell the client why, and hang up — a loud rejection instead of a
   // connect that hangs in the backlog until an fd frees.
@@ -732,7 +707,7 @@ void ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
     SetNonBlocking(fd);
     const char msg[] = "ERR unavailable: server out of file descriptors\n";
     [[maybe_unused]] const ssize_t w = ::send(fd, msg, sizeof(msg) - 1,
-                                              kSendFlags);
+                                              MSG_NOSIGNAL);
     ::shutdown(fd, SHUT_WR);
     char chunk[256];
     while (::read(fd, chunk, sizeof(chunk)) > 0) {
@@ -741,7 +716,7 @@ void ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
     std::lock_guard<std::mutex> lock(sched_mu_);
     ++loop.shadow.emfile_rejected;
     loop.PublishLocked();
-  } else {
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
     // Even the emergency slot did not cover it (another thread won the
     // fd); fall back to a timed retry.
     loop.accept_backoff_until = std::chrono::steady_clock::now() +
@@ -749,6 +724,7 @@ void ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
     loop.accept_ready = true;
   }
   loop.emergency_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  return fd >= 0;
 }
 
 void ServeExecutor::ServiceConn(IoLoop& loop,
@@ -803,10 +779,9 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       }
     }
   } else if (conn->scheduling_reads && conn->read_ready) {
-    // saw_error overrides the backpressure gate: a HUP/ERR level would
-    // otherwise re-fire every poll() while the budget recovers (the old
-    // single-loop code read through it the same way — the read surfaces
-    // EOF/ECONNRESET and retires the connection).
+    // saw_error overrides the backpressure gate: the read surfaces
+    // EOF/ECONNRESET and retires the connection now rather than after
+    // the budget recovers.
     if (!can_read && !conn->saw_error) {
       if (!conn->stalled) {
         conn->stalled = true;
@@ -895,7 +870,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       requeue();
     } else if (conn->saw_error && !conn->scheduling_reads) {
       // Peer hangup while not reading: the remaining responses are
-      // undeliverable; close rather than spin on a level-triggered HUP.
+      // undeliverable; close now.
       CloseConn(loop, conn);
       return;
     } else if (conn->scheduling_reads && conn->read_ready && now_can_read) {
@@ -926,25 +901,6 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
         CloseConn(loop, conn);
         return;
       }
-    }
-  }
-  if (!loop.et && conn->fd >= 0) {
-    // Maintain the poll backend's interest set (epoll registered both
-    // directions edge-triggered at accept and never changes it).
-    const bool want_read =
-        conn->discarding || (conn->scheduling_reads && now_can_read);
-    const bool want_write = unsent > 0;
-    if (want_read != conn->poll_want_read ||
-        want_write != conn->poll_want_write) {
-      loop.poller->Update(conn->fd, want_read, want_write);
-      if (want_read && !conn->poll_want_read) {
-        // A level may have come and gone while the read side was muted;
-        // force one read attempt rather than trusting a future report.
-        conn->read_ready = true;
-        requeue();
-      }
-      conn->poll_want_read = want_read;
-      conn->poll_want_write = want_write;
     }
   }
 }
@@ -1469,7 +1425,7 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
     }
     const ssize_t n = ::send(conn->fd, conn->sending.data() + conn->send_offset,
                              conn->sending.size() - conn->send_offset,
-                             kSendFlags);
+                             MSG_NOSIGNAL);
     if (n > 0) {
       conn->send_offset += static_cast<size_t>(n);
       sent_total += static_cast<size_t>(n);
@@ -1503,7 +1459,7 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
 
 void ServeExecutor::CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn) {
   if (conn->fd >= 0) {
-    loop.poller->Remove(conn->fd);
+    loop.poller.Remove(conn->fd);
     loop.conns.erase(conn->fd);
     std::lock_guard<std::mutex> wlock(conn->write_mu);
     ::close(conn->fd);
@@ -1545,8 +1501,8 @@ std::string ServeExecutor::MetricsResponse() const {
     total.repl_bytes += s.repl_bytes;
   }
   std::ostringstream out;
-  out << "OK METRICS poller=" << PollerBackendName(backend_)
-      << " io_loops=" << io_loops_ << " workers=" << options_.workers
+  out << "OK METRICS poller=epoll io_loops=" << io_loops_
+      << " workers=" << options_.workers
       << " accepted=" << total.accepted << " served=" << total.served
       << " inline=" << total.inline_served
       << " parked_drains=" << total.parked_drains

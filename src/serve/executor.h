@@ -19,10 +19,9 @@
 /// The ServeExecutor splits the connection handler into
 ///
 ///  - N independent event loops (ServerOptions::io_threads, default
-///    min(4, cores)). Each loop owns an edge-triggered readiness poller
-///    (util/event_poller.h — epoll on Linux, poll(2) as the portable
-///    fallback, MANIRANK_POLLER=epoll|poll|auto), its own SO_REUSEPORT
-///    listener so the kernel shards accepted connections across loops,
+///    min(4, cores)). Each loop owns an edge-triggered epoll instance
+///    (util/event_poller.h), its own SO_REUSEPORT listener so the
+///    kernel shards accepted connections across loops,
 ///    and every connection the kernel hands it: a connection is pinned
 ///    to its loop for life, so all per-connection I/O state stays
 ///    single-writer (and TSan-clean) with no cross-loop fd migration.
@@ -120,7 +119,10 @@
 /// closed outright at shutdown; followers treat any EOF as "reconnect
 /// and re-handshake".
 
-#if defined(__unix__) || defined(__APPLE__)
+/// The TCP front end (this executor and the follower client of
+/// serve/replica.h) is built where epoll exists. Elsewhere manirank_serve
+/// keeps its stdin and --script modes.
+#if defined(__linux__)
 #define MANIRANK_SERVE_HAVE_SOCKETS 1
 #endif
 
@@ -137,7 +139,6 @@
 
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
-#include "util/event_poller.h"
 #include "util/threading.h"
 
 namespace manirank::serve {
@@ -156,14 +157,9 @@ struct ServerOptions {
   int port = 0;
   /// Executor worker threads; 0 = DefaultThreadCount() (at least 1).
   size_t workers = 0;
-  /// Executor event-loop (I/O) threads; each owns its own poller and
-  /// SO_REUSEPORT listener. 0 = min(4, DefaultThreadCount()). Clamped
-  /// to 1 on platforms without SO_REUSEPORT.
+  /// Executor event-loop (I/O) threads; each owns its own epoll
+  /// instance and SO_REUSEPORT listener. 0 = min(4, DefaultThreadCount()).
   size_t io_threads = 0;
-  /// Readiness-backend preference for the event loops. The
-  /// MANIRANK_POLLER environment variable (epoll|poll|auto) overrides a
-  /// non-auto value at Start — see util/event_poller.h.
-  PollerBackend poller = DefaultPollerBackend();
   /// Parsed-but-unanswered requests per connection before the reader
   /// stops polling that socket.
   size_t max_inflight_per_connection = 64;
@@ -213,8 +209,6 @@ class ServeExecutor {
   size_t workers() const;
   /// Event loops actually running (after Start).
   size_t io_loops() const { return io_loops_; }
-  /// Resolved readiness backend name ("epoll" / "poll", after Start).
-  const char* poller_name() const { return PollerBackendName(backend_); }
   /// Requests whose responses were completed (diagnostics).
   uint64_t requests_served() const;
 
@@ -237,8 +231,9 @@ class ServeExecutor {
   void ServiceConn(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   void AcceptReady(IoLoop& loop);
   /// EMFILE/ENFILE: burn the reserved emergency fd to accept, reject
-  /// loudly, reopen the reserve.
-  void RejectOverloadedAccept(IoLoop& loop);
+  /// loudly, reopen the reserve. Returns false when no connection was
+  /// accepted (empty backlog, or a timed retry was scheduled).
+  bool RejectOverloadedAccept(IoLoop& loop);
   ReadStatus HandleReadable(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   /// Classifies and registers one request line. Returns a node the
   /// CALLER must execute inline (loop-thread fast path), or nullptr when
@@ -295,7 +290,6 @@ class ServeExecutor {
   int port_ = 0;
   bool started_ = false;
   std::atomic<bool> stopping_{false};
-  PollerBackend backend_ = PollerBackend::kPoll;
   size_t io_loops_ = 0;
   std::vector<std::unique_ptr<IoLoop>> loops_;
   std::unique_ptr<TaskPool> pool_;

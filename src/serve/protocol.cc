@@ -25,20 +25,23 @@ using Tokens = std::vector<std::string_view>;
 
 /// Any candidate table a client can register holds at most this many
 /// candidates: the first precedence method densifies an n^2 matrix (8
-/// bytes per cell, ~200 MB at the cap), so CREATE refuses larger tables
-/// up front instead of failing later with bad_alloc or an OOM kill.
+/// bytes per cell, ~200 MB at the cap), so CREATE and RESTORE refuse
+/// larger tables up front instead of failing later with bad_alloc or an
+/// OOM kill.
 constexpr long kMaxCandidates = 5000;
 
 /// strtol over the WHOLE token: leading '\v'/'\f' (whitespace to strtol,
 /// token bytes to the tokenizer), an optional sign, decimal digits,
 /// nothing after, and no ERANGE. The copy supplies strtol's terminating
-/// NUL.
+/// NUL; strtol must consume every byte of the token, so an embedded NUL
+/// ("5<NUL>junk") is rejected rather than read as its prefix.
 std::optional<long> ParseLong(std::string_view view) {
   const std::string token(view);
   errno = 0;
   char* end = nullptr;
   const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
+  if (end == token.c_str() || end != token.c_str() + token.size() ||
+      errno == ERANGE) {
     return std::nullopt;
   }
   return v;
@@ -49,7 +52,8 @@ std::optional<double> ParseDouble(std::string_view view) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
+  if (end == token.c_str() || end != token.c_str() + token.size() ||
+      errno == ERANGE) {
     return std::nullopt;
   }
   return v;
@@ -532,6 +536,13 @@ std::string HandleRestore(ContextManager* manager, const Tokens& tokens) {
     return Err("bad-snapshot", e.what());
   } catch (const std::runtime_error& e) {
     return Err("io", e.what());
+  }
+  if (snapshot->table.num_candidates() > kMaxCandidates) {
+    return Err("bad-request", "RESTORE size out of range (n <= " +
+                                  std::to_string(kMaxCandidates) + ", got " +
+                                  std::to_string(
+                                      snapshot->table.num_candidates()) +
+                                  ")");
   }
   const std::string table(tokens[1]);
   const TableStats stats = manager->RestoreTable(table, std::move(*snapshot));

@@ -29,7 +29,8 @@
 /// lifecycle-lock hold that swaps the map entry, with the new table
 /// read-only before it is visible.
 
-#if defined(__unix__) || defined(__APPLE__)
+// Built with the executor's TCP front end (see serve/executor.h).
+#if defined(__linux__)
 #ifndef MANIRANK_SERVE_HAVE_SOCKETS
 #define MANIRANK_SERVE_HAVE_SOCKETS 1
 #endif

@@ -4,9 +4,9 @@
 //   manirank_serve                      serve the line protocol on stdin/stdout
 //   manirank_serve --script FILE        replay a request script (offline mode)
 //   manirank_serve --port P             TCP server: async executor pipeline —
-//                                       N sharded event loops (epoll where
-//                                       available, SO_REUSEPORT accept
-//                                       sharding) plus a shared worker pool
+//                                       N sharded epoll event loops
+//                                       (SO_REUSEPORT accept sharding)
+//                                       plus a shared worker pool
 //                                       (serve/executor.h); P=0 picks an
 //                                       ephemeral port (the bound port is
 //                                       printed as "listening on port N")
@@ -24,10 +24,8 @@
 //   manirank_serve --workers N          executor worker threads (default:
 //                                       hardware concurrency, max 256)
 //   manirank_serve --io-threads N       executor event-loop threads, each
-//                                       with its own poller and listener
-//                                       (default: min(4, cores)); the
-//                                       MANIRANK_POLLER env var picks the
-//                                       readiness backend (epoll|poll|auto)
+//                                       with its own epoll instance and
+//                                       listener (default: min(4, cores))
 //   manirank_serve --restore-dir DIR    cold start: restore every *.snap table
 //                                       snapshot in DIR before serving (a
 //                                       DIR holding *.oplog files is a
@@ -65,6 +63,10 @@
 // their directory the same way (serve/durability.cc): leftover
 // durable-write temp files from a crashed writer are removed, and a
 // *.snap / *.oplog name that cannot name a table aborts startup.
+//
+// --port and --follow are built on Linux only (the executor's event loops
+// are epoll-driven); elsewhere they exit 2 and the stdin / --script modes
+// remain.
 //
 // Shutdown: SIGINT or SIGTERM stops the TCP server gracefully — the
 // listener closes, no new requests are read, every in-flight request

@@ -1,257 +1,60 @@
 #include "util/event_poller.h"
 
+#if defined(__linux__)
+
 #include <errno.h>
-#include <poll.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#if MANIRANK_HAVE_EPOLL
-#include <sys/epoll.h>
-#endif
-
-#include <mutex>
-#include <unordered_map>
-
 namespace manirank {
-namespace {
 
-// Warn-once guard shared by every resolution failure path, mirroring the
-// fallback warning in ResolvePrecedenceKernel.
-std::once_flag g_poller_warn_once;
-
-void WarnFallback(const char* requested, const char* reason) {
-  std::call_once(g_poller_warn_once, [&] {
-    fprintf(stderr,
-            "manirank: MANIRANK_POLLER=%s unavailable (%s); "
-            "falling back to auto poller selection\n",
-            requested, reason);
-  });
+EventPoller::~EventPoller() {
+  if (epfd_ >= 0) ::close(epfd_);
 }
 
-/// poll(2) backend. Keeps an interest map and rebuilds the pollfd vector
-/// on demand; the rebuild is skipped when the interest set is unchanged
-/// since the previous Wait, so the steady-state cost is the kernel's own
-/// O(fds) scan. Level-triggered: a still-ready fd is re-reported every
-/// Wait, which edge-correct consumers absorb via their readiness flags.
-class PollEventPoller final : public EventPoller {
- public:
-  bool Add(int fd, bool want_read, bool want_write, void* data) override {
-    if (fd < 0) return false;
-    Interest& interest = interest_[fd];
-    interest.want_read = want_read;
-    interest.want_write = want_write;
-    interest.data = data;
-    dirty_ = true;
-    return true;
-  }
-
-  bool Update(int fd, bool want_read, bool want_write) override {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) return false;
-    it->second.want_read = want_read;
-    it->second.want_write = want_write;
-    dirty_ = true;
-    return true;
-  }
-
-  void Remove(int fd) override {
-    if (interest_.erase(fd) > 0) dirty_ = true;
-  }
-
-  int Wait(std::vector<PolledEvent>* events, int timeout_ms) override {
-    events->clear();
-    if (dirty_) {
-      pfds_.clear();
-      datas_.clear();
-      pfds_.reserve(interest_.size());
-      datas_.reserve(interest_.size());
-      for (const auto& [fd, interest] : interest_) {
-        struct pollfd pfd;
-        pfd.fd = fd;
-        pfd.events = static_cast<short>((interest.want_read ? POLLIN : 0) |
-                                        (interest.want_write ? POLLOUT : 0));
-        pfd.revents = 0;
-        pfds_.push_back(pfd);
-        datas_.push_back(interest.data);
-      }
-      dirty_ = false;
-    }
-    int rc = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) return 0;
-      return -1;
-    }
-    if (rc == 0) return 0;
-    for (size_t i = 0; i < pfds_.size(); ++i) {
-      short revents = pfds_[i].revents;
-      if (revents == 0) continue;
-      PolledEvent event;
-      event.data = datas_[i];
-      event.readable = (revents & POLLIN) != 0;
-      event.writable = (revents & POLLOUT) != 0;
-      event.error = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-    return static_cast<int>(events->size());
-  }
-
-  PollerBackend backend() const override { return PollerBackend::kPoll; }
-
- private:
-  struct Interest {
-    bool want_read = false;
-    bool want_write = false;
-    void* data = nullptr;
-  };
-  std::unordered_map<int, Interest> interest_;
-  // Cached pollfd vector, rebuilt only when the interest set changes.
-  std::vector<struct pollfd> pfds_;
-  std::vector<void*> datas_;
-  bool dirty_ = false;
-};
-
-#if MANIRANK_HAVE_EPOLL
-/// epoll(7) backend, edge-triggered. Registration is persistent: one
-/// epoll_ctl per Add/Update/Remove, and Wait costs O(ready). EPOLLET
-/// means a readiness level is reported once per edge — the consumer owns
-/// the drain-to-EAGAIN contract documented in event_poller.h. Interest
-/// updates are honored (used by the executor to mute a backpressured
-/// connection's read edge), still edge-triggered after the update.
-class EpollEventPoller final : public EventPoller {
- public:
-  EpollEventPoller() { epfd_ = ::epoll_create1(EPOLL_CLOEXEC); }
-
-  ~EpollEventPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  bool ok() const { return epfd_ >= 0; }
-
-  bool Add(int fd, bool want_read, bool want_write, void* data) override {
-    if (epfd_ < 0 || fd < 0) return false;
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = Events(want_read, want_write);
-    ev.data.ptr = data;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
-    registered_[fd] = data;
-    return true;
-  }
-
-  bool Update(int fd, bool want_read, bool want_write) override {
-    auto it = registered_.find(fd);
-    if (it == registered_.end()) return false;
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = Events(want_read, want_write);
-    ev.data.ptr = it->second;
-    return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-
-  void Remove(int fd) override {
-    if (registered_.erase(fd) == 0) return;
-    // Events() may be zero after a mute; DEL needs no event argument on
-    // modern kernels but pass one for pre-2.6.9 portability.
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  int Wait(std::vector<PolledEvent>* events, int timeout_ms) override {
-    events->clear();
-    if (epfd_ < 0) return -1;
-    struct epoll_event raw[kMaxEvents];
-    int rc = ::epoll_wait(epfd_, raw, kMaxEvents, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) return 0;
-      return -1;
-    }
-    events->reserve(static_cast<size_t>(rc));
-    for (int i = 0; i < rc; ++i) {
-      PolledEvent event;
-      event.data = raw[i].data.ptr;
-      // EPOLLRDHUP (peer half-close) counts as readable: the consumer's
-      // read() surfaces the EOF. Kernels usually set EPOLLIN alongside,
-      // but not guaranteed across versions.
-      event.readable = (raw[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-      event.writable = (raw[i].events & EPOLLOUT) != 0;
-      event.error = (raw[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(event);
-    }
-    return rc;
-  }
-
-  PollerBackend backend() const override { return PollerBackend::kEpoll; }
-
- private:
-  static uint32_t Events(bool want_read, bool want_write) {
-    return (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u) |
-           EPOLLET | EPOLLRDHUP;
-  }
-  static constexpr int kMaxEvents = 128;
-  int epfd_ = -1;
-  std::unordered_map<int, void*> registered_;
-};
-#endif  // MANIRANK_HAVE_EPOLL
-
-}  // namespace
-
-PollerBackend DefaultPollerBackend() {
-#if MANIRANK_HAVE_EPOLL
-  return PollerBackend::kEpoll;
-#else
-  return PollerBackend::kPoll;
-#endif
+bool EventPoller::Open() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  return epfd_ >= 0;
 }
 
-PollerBackend ResolvePollerBackend(PollerBackend preferred) {
-  const char* env = getenv("MANIRANK_POLLER");
-  if (env == nullptr || env[0] == '\0' || strcmp(env, "auto") == 0) {
-#if !MANIRANK_HAVE_EPOLL
-    if (preferred == PollerBackend::kEpoll) return PollerBackend::kPoll;
-#endif
-    return preferred;
-  }
-  if (strcmp(env, "poll") == 0) return PollerBackend::kPoll;
-  if (strcmp(env, "epoll") == 0) {
-#if MANIRANK_HAVE_EPOLL
-    return PollerBackend::kEpoll;
-#else
-    WarnFallback(env, "epoll not compiled in on this platform");
-    return PollerBackend::kPoll;
-#endif
-  }
-  WarnFallback(env, "unrecognized value; expected epoll|poll|auto");
-#if !MANIRANK_HAVE_EPOLL
-  if (preferred == PollerBackend::kEpoll) return PollerBackend::kPoll;
-#endif
-  return preferred;
+bool EventPoller::Add(int fd, bool want_read, bool want_write, void* data) {
+  if (epfd_ < 0 || fd < 0) return false;
+  struct epoll_event ev = {};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u) |
+              EPOLLET | EPOLLRDHUP;
+  ev.data.ptr = data;
+  return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
-const char* PollerBackendName(PollerBackend backend) {
-  switch (backend) {
-    case PollerBackend::kPoll:
-      return "poll";
-    case PollerBackend::kEpoll:
-      return "epoll";
-  }
-  return "unknown";
+void EventPoller::Remove(int fd) {
+  // DEL needs no event argument on modern kernels but pass one for
+  // pre-2.6.9 portability.
+  struct epoll_event ev = {};
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
 }
 
-std::unique_ptr<EventPoller> MakeEventPoller(PollerBackend backend) {
-#if MANIRANK_HAVE_EPOLL
-  if (backend == PollerBackend::kEpoll) {
-    auto epoller = std::make_unique<EpollEventPoller>();
-    if (epoller->ok()) return epoller;
-    // epoll_create1 failing (EMFILE at startup) is survivable: poll
-    // needs no kernel object.
+int EventPoller::Wait(std::vector<PolledEvent>* events, int timeout_ms) {
+  events->clear();
+  if (epfd_ < 0) return -1;
+  constexpr int kMaxEvents = 128;
+  struct epoll_event raw[kMaxEvents];
+  const int rc = ::epoll_wait(epfd_, raw, kMaxEvents, timeout_ms);
+  if (rc < 0) return errno == EINTR ? 0 : -1;
+  events->reserve(static_cast<size_t>(rc));
+  for (int i = 0; i < rc; ++i) {
+    PolledEvent event;
+    event.data = raw[i].data.ptr;
+    // EPOLLRDHUP (peer half-close) counts as readable: the consumer's
+    // read() surfaces the EOF. Kernels usually set EPOLLIN alongside,
+    // but not guaranteed across versions.
+    event.readable = (raw[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    event.writable = (raw[i].events & EPOLLOUT) != 0;
+    event.error = (raw[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    events->push_back(event);
   }
-#else
-  (void)backend;
-#endif
-  return std::make_unique<PollEventPoller>();
+  return rc;
 }
 
 }  // namespace manirank
+
+#endif  // defined(__linux__)

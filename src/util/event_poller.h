@@ -2,68 +2,31 @@
 #define MANIRANK_UTIL_EVENT_POLLER_H_
 
 /// \file
-/// Readiness-notification abstraction for the serving event loops
-/// (serve/executor.cc): one interface, two backends, selected at runtime
-/// the same way util/cpu_dispatch.h selects a precedence kernel.
+/// Readiness notification for the serving event loops
+/// (serve/executor.cc): a thin wrapper over Linux epoll(7).
 ///
-///  - `poll`  — the portable fallback. Level-triggered: the interest set
-///    is re-declared per Wait() and the kernel scans O(fds) pollfds per
-///    wake. Correct everywhere, but a single busy loop pays the scan on
-///    every wakeup.
-///  - `epoll` — Linux only (compile-time gated). Registration is
-///    persistent and EDGE-TRIGGERED (EPOLLET): Wait() costs O(ready),
-///    not O(registered), so 10k idle connections are free. Consumers of
-///    this interface MUST be written edge-correct — drain every readable
-///    fd to EAGAIN (or remember that it still has data) before the next
-///    Wait, because a level is reported only once per edge.
-///
-/// To keep one consumer implementation correct over both, the interface
-/// exposes edge-triggered *semantics* for both backends: a PolledEvent
-/// means "this fd BECAME ready (or was ready at registration)", and the
-/// consumer owns per-fd readiness state. The poll backend simply
-/// re-reports a still-ready level on every Wait, which an edge-correct
-/// consumer absorbs harmlessly (its readiness flag is already set).
+/// Registration is persistent and EDGE-TRIGGERED (EPOLLET): Wait() costs
+/// O(ready), not O(registered), so 10k idle connections are free. The
+/// consumer MUST be written edge-correct — drain every readable fd to
+/// EAGAIN (or remember that it still has data) before the next Wait,
+/// because a level is reported only once per edge. A PolledEvent means
+/// "this fd BECAME ready (or was ready at registration)"; the consumer
+/// owns per-fd readiness state.
 ///
 /// Thread safety: an EventPoller instance belongs to exactly one event
-/// loop thread. Add/Update/Remove/Wait must all be called from that
-/// thread; cross-thread wakeup goes through a self-pipe registered like
-/// any other fd (the executor's per-loop wake pipe).
-
-#include <cstddef>
-#include <memory>
-#include <vector>
+/// loop thread. Add/Remove/Wait must all be called from that thread;
+/// cross-thread wakeup goes through a self-pipe registered like any
+/// other fd (the executor's per-loop wake pipe).
 
 #if defined(__linux__)
-#define MANIRANK_HAVE_EPOLL 1
-#endif
+
+#include <vector>
 
 namespace manirank {
 
-/// Which readiness backend serves an event loop.
-enum class PollerBackend {
-  kPoll,   // portable poll(2), level-triggered, O(fds) per wake
-  kEpoll,  // Linux epoll(7), edge-triggered, O(ready) per wake
-};
-
-/// Resolves the backend from the MANIRANK_POLLER environment variable
-/// ("poll", "epoll", "auto"/unset/empty) and platform support, mirroring
-/// ResolvePrecedenceKernel: an unsatisfiable request ("epoll" on a
-/// non-Linux build, or an unrecognised value) warns once on stderr and
-/// falls back to auto selection rather than failing — both backends are
-/// observably equivalent, so the choice is purely performance/testing.
-/// `preferred` is the caller's default when the env var is unset/auto
-/// (serve/executor passes its ServerOptions::poller).
-PollerBackend ResolvePollerBackend(PollerBackend preferred);
-
-/// "auto" resolution: epoll where compiled in, poll elsewhere.
-PollerBackend DefaultPollerBackend();
-
-/// Human-readable backend name ("poll" / "epoll") for logs and bench JSON.
-const char* PollerBackendName(PollerBackend backend);
-
 /// One readiness edge. `data` is the pointer registered with Add;
-/// `error` reports POLLERR/POLLHUP-class conditions (the consumer should
-/// attempt the read anyway — EOF/ECONNRESET surfaces there).
+/// `error` reports EPOLLERR/EPOLLHUP (the consumer should attempt the
+/// read anyway — EOF/ECONNRESET surfaces there).
 struct PolledEvent {
   void* data = nullptr;
   bool readable = false;
@@ -73,39 +36,35 @@ struct PolledEvent {
 
 class EventPoller {
  public:
-  virtual ~EventPoller() = default;
+  EventPoller() = default;
+  ~EventPoller();
+  EventPoller(const EventPoller&) = delete;
+  EventPoller& operator=(const EventPoller&) = delete;
 
-  /// Registers `fd`. `want_read`/`want_write` form the initial interest
-  /// set; `data` is echoed back in every PolledEvent for this fd. An fd
-  /// that is already ready at registration time is reported by the next
-  /// Wait (both backends). Returns false on registration failure.
-  virtual bool Add(int fd, bool want_read, bool want_write, void* data) = 0;
+  /// Creates the epoll instance. Returns false with errno set by
+  /// epoll_create1.
+  bool Open();
 
-  /// Updates the interest set of a registered fd. The epoll backend's
-  /// registration is edge-triggered and typically registered for both
-  /// directions once, so this is mostly the poll backend's tool for
-  /// cheap backpressure (drop read interest without losing state).
-  virtual bool Update(int fd, bool want_read, bool want_write) = 0;
+  /// Registers `fd`, edge-triggered. `want_read`/`want_write` form the
+  /// interest set; `data` is echoed back in every PolledEvent for this
+  /// fd. An fd that is already ready at registration time is reported by
+  /// the next Wait. Returns false on registration failure.
+  bool Add(int fd, bool want_read, bool want_write, void* data);
 
-  /// Deregisters `fd`. Must be called BEFORE the fd is closed (a closed
-  /// fd silently vanishes from epoll but would poison a pollfd vector).
-  virtual void Remove(int fd) = 0;
+  /// Deregisters `fd`. Must be called BEFORE the fd is closed.
+  void Remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever) and appends every ready
   /// event to `*events` (which is cleared first). Returns the number of
-  /// events, 0 on timeout, -1 on a non-EINTR failure.
-  virtual int Wait(std::vector<PolledEvent>* events, int timeout_ms) = 0;
+  /// events, 0 on timeout or EINTR, -1 on any other failure.
+  int Wait(std::vector<PolledEvent>* events, int timeout_ms);
 
-  virtual PollerBackend backend() const = 0;
-  const char* name() const { return PollerBackendName(backend()); }
+ private:
+  int epfd_ = -1;
 };
 
-/// Constructs the requested backend. Asking for kEpoll on a build
-/// without epoll support returns the poll backend instead (callers that
-/// care should resolve through ResolvePollerBackend, which already
-/// warned). Never returns nullptr.
-std::unique_ptr<EventPoller> MakeEventPoller(PollerBackend backend);
-
 }  // namespace manirank
+
+#endif  // defined(__linux__)
 
 #endif  // MANIRANK_UTIL_EVENT_POLLER_H_

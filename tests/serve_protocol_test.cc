@@ -17,6 +17,7 @@
 #include "core/ranking.h"
 #include "test_util.h"
 #include "data/op_log.h"
+#include "data/snapshot.h"
 #include "serve/context_manager.h"
 #include "util/rng.h"
 
@@ -187,6 +188,61 @@ TEST_F(ProtocolTest, CreateFileRefusesTablesOverTheCandidateCap) {
   EXPECT_EQ(Handle("CREATE edge FILE " + write_table(5000)),
             "OK CREATE edge candidates=5000 rankings=0");
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(ProtocolTest, RestoreRefusesSnapshotsOverTheCandidateCap) {
+  // RESTORE shares CREATE's n <= 5000 cap, checked after decoding and
+  // before the table is registered. An empty exact snapshot carries no
+  // precedence matrix, so even n = 5001 is cheap to write.
+  const std::string dir = ::testing::TempDir() + "manirank_restore_cap";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto write_snapshot = [&](int n) {
+    StreamingSummary summary;
+    summary.num_candidates = n;
+    summary.borda_points.assign(static_cast<size_t>(n), 0);
+    TableSnapshot snapshot{testing::CyclicTable(n, 2, 2), std::move(summary),
+                           /*applied_batches=*/0, /*applied_rankings=*/0};
+    snapshot.retained = true;
+    const std::string path = dir + "/t" + std::to_string(n) + ".snap";
+    WriteTableSnapshotFile(path, snapshot);
+    return path;
+  };
+  const std::string tables = Handle("TABLES");
+  EXPECT_EQ(Handle("RESTORE big " + write_snapshot(5001)),
+            "ERR bad-request: RESTORE size out of range (n <= 5000, got 5001)");
+  EXPECT_EQ(Handle("TABLES"), tables);
+  // Refused over an existing table too, which stays as it was.
+  const std::string before = StateSnapshot();
+  EXPECT_EQ(Handle("RESTORE t " + write_snapshot(5001)).rfind(
+                "ERR bad-request: RESTORE size out of range", 0),
+            0u);
+  EXPECT_EQ(StateSnapshot(), before);
+  // The cap is inclusive, like CREATE's.
+  EXPECT_EQ(Handle("RESTORE edge " + write_snapshot(5000)),
+            "OK RESTORE edge candidates=5000 rankings=0 generation=0");
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ProtocolTest, NumericTokensWithAnEmbeddedNulAreRejected) {
+  // strtol stops at a NUL byte; the parser must still see the whole
+  // token, so "5<NUL>junk" is not read as 5.
+  const std::string before = StateSnapshot();
+  const std::string nul(1, '\0');
+  EXPECT_EQ(Handle("APPEND t 0 1 2 3 4 5" + nul + "junk"),
+            "ERR bad-ranking: candidate id must be a non-negative integer, "
+            "got '5" + nul + "junk'");
+  EXPECT_EQ(Handle("EVAL t 0 1 2 3 4 5" + nul),
+            "ERR bad-ranking: candidate id must be a non-negative integer, "
+            "got '5" + nul + "'");
+  EXPECT_EQ(StateSnapshot(), before);
+  const std::string tables = Handle("TABLES");
+  EXPECT_EQ(Handle("CREATE u CYCLIC 6" + nul + "x 2 2").rfind(
+                "ERR bad-request:", 0),
+            0u);
+  EXPECT_EQ(Handle("RUN t A4 LIMIT 1" + nul + "5").rfind("ERR bad-request:", 0),
+            0u);
+  EXPECT_EQ(Handle("TABLES"), tables);
 }
 
 TEST_F(ProtocolTest, DuplicateCreateDrawsTableExistsCode) {

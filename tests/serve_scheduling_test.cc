@@ -1,7 +1,7 @@
 // Scheduling-focused tests for the multi-event-loop ServeExecutor
 // (serve/executor.h): a 256-connection pipelined burst that must stay
-// bit-identical to the synchronous Dispatcher under BOTH poller backends
-// (forced via MANIRANK_POLLER), the METRICS response surface, and the
+// bit-identical to the synchronous Dispatcher, the METRICS response
+// surface, the out-of-descriptors accept rejection, and the
 // weighted-fair-queue guarantee that a saturated table cannot starve a
 // light table's request behind its backlog.
 
@@ -11,9 +11,12 @@
 
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -31,7 +34,6 @@
 #include "serve/protocol.h"
 #include "serve_test_util.h"
 #include "test_util.h"
-#include "util/event_poller.h"
 
 namespace manirank {
 namespace {
@@ -41,7 +43,6 @@ using serve::Dispatcher;
 using serve::ServeExecutor;
 using serve::ServerOptions;
 using testing::Client;
-using testing::ScopedPollerEnv;
 using testing::SyncReference;
 
 /// Raises RLIMIT_NOFILE toward the hard limit and returns how many
@@ -84,9 +85,7 @@ std::vector<std::string> PerConnectionWorkload(size_t index) {
 /// (io_threads=2 exercises SO_REUSEPORT accept distribution even on one
 /// core). Every connection's response stream must be bit-identical to a
 /// synchronous replay of its own requests.
-void ExpectBurstBitIdentical(const char* poller_env,
-                             const char* expect_poller) {
-  ScopedPollerEnv scoped(poller_env);
+TEST(ServeSchedulingTest, BurstBitIdentical) {
   ContextManager manager;
   ServerOptions options;
   options.workers = 3;
@@ -94,7 +93,6 @@ void ExpectBurstBitIdentical(const char* poller_env,
   ServeExecutor server(&manager, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
-  EXPECT_STREQ(server.poller_name(), expect_poller);
   EXPECT_EQ(server.io_loops(), 2u);
 
   const size_t kConnections = AffordableConnections(256);
@@ -134,20 +132,6 @@ void ExpectBurstBitIdentical(const char* poller_env,
   server.Shutdown();
 }
 
-TEST(ServeSchedulingTest, BurstBitIdenticalUnderPoll) {
-  ExpectBurstBitIdentical("poll", "poll");
-}
-
-TEST(ServeSchedulingTest, BurstBitIdenticalUnderEpoll) {
-#if MANIRANK_HAVE_EPOLL
-  ExpectBurstBitIdentical("epoll", "epoll");
-#else
-  // Forcing epoll on a platform without it falls back to poll (with a
-  // one-time warning); the wire contract must hold regardless.
-  ExpectBurstBitIdentical("epoll", "poll");
-#endif
-}
-
 /// METRICS is only answerable by the executor front end; the synchronous
 /// Dispatcher (stdin / --script replay) reports unavailable.
 TEST(ServeSchedulingTest, MetricsSurface) {
@@ -176,6 +160,96 @@ TEST(ServeSchedulingTest, MetricsSurface) {
     EXPECT_NE(lines[1].find(field), std::string::npos)
         << "missing " << field << " in " << lines[1];
   }
+  server.Shutdown();
+}
+
+/// Lowers the soft RLIMIT_NOFILE of this process for one scope and
+/// restores the saved limit on exit (also on an early ASSERT return).
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    struct rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    applied_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() {
+    if (applied_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  bool applied() const { return applied_; }
+
+ private:
+  struct rlimit saved_ {};
+  bool applied_ = false;
+};
+
+/// Edge-triggered accept under fd exhaustion: with the soft fd limit at
+/// the lowest free descriptor, the server's accept() fails with EMFILE,
+/// so the loop burns its reserved emergency fd to accept, answers the
+/// out-of-descriptors ERR and hangs up — the client sees a loud
+/// rejection, not a connect that hangs in the backlog. Exactly one
+/// connection is rejected: with the backlog empty the loop must stop
+/// sweeping, not keep rejecting whatever connects next. Both sockets are
+/// opened before the limit drops (connect() allocates no descriptor),
+/// and the probe's round trip first lets the server's threads settle.
+TEST(ServeSchedulingTest, AcceptRejectsLoudlyWhenOutOfDescriptors) {
+  ContextManager manager;
+  ServerOptions options;
+  options.workers = 1;
+  options.io_threads = 1;
+  ServeExecutor server(&manager, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client probe(static_cast<int>(server.port()));
+  ASSERT_TRUE(probe.Send("METRICS\n"));
+  ASSERT_EQ(probe.ReadLines(1).size(), 1u);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+
+  // dup() returns the lowest free descriptor; every lower one is taken.
+  const int lowest_free = ::dup(fd);
+  ASSERT_GE(lowest_free, 0) << std::strerror(errno);
+  ::close(lowest_free);
+  std::string received;
+  {
+    ScopedFdLimit limit(static_cast<rlim_t>(lowest_free));
+    ASSERT_TRUE(limit.applied()) << std::strerror(errno);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0)
+        << std::strerror(errno);
+    char chunk[256];
+    for (;;) {
+      const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) break;
+      received.append(chunk, static_cast<size_t>(got));
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(received, "ERR unavailable: server out of file descriptors\n");
+
+  // A connection made after the limit is restored is served normally.
+  Client late(static_cast<int>(server.port()));
+  ASSERT_TRUE(late.Send("STATS nosuch\n"));
+  const std::vector<std::string> late_lines = late.ReadLines(1);
+  ASSERT_EQ(late_lines.size(), 1u);
+  EXPECT_EQ(late_lines[0].rfind("ERR no-such-table:", 0), 0u) << late_lines[0];
+  ASSERT_TRUE(probe.Send("METRICS\n"));
+  const std::vector<std::string> metrics = probe.ReadLines(1);
+  ASSERT_EQ(metrics.size(), 1u);
+  EXPECT_NE(metrics[0].find(" emfile_rejected=1 "), std::string::npos)
+      << metrics[0];
   server.Shutdown();
 }
 

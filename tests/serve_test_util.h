@@ -29,12 +29,6 @@
 
 namespace manirank::testing {
 
-#ifdef MSG_NOSIGNAL
-inline constexpr int kClientSendFlags = MSG_NOSIGNAL;
-#else
-inline constexpr int kClientSendFlags = 0;
-#endif
-
 /// Blocking loopback client with a receive timeout, so a server bug
 /// fails the test instead of hanging it.
 class Client {
@@ -68,7 +62,7 @@ class Client {
     size_t sent = 0;
     while (sent < bytes.size()) {
       const ssize_t w = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               kClientSendFlags);
+                               MSG_NOSIGNAL);
       if (w < 0 && errno == EINTR) continue;
       if (w <= 0) return false;
       sent += static_cast<size_t>(w);

@@ -67,11 +67,14 @@ std::vector<std::string> ReferenceTokenize(const std::string& line) {
   return tokens;
 }
 
+/// strtol must consume the whole token: an embedded NUL ("5<NUL>junk")
+/// is rejected, not read as its prefix.
 std::optional<long> ReferenceParseLong(const std::string& token) {
   errno = 0;
   char* end = nullptr;
   const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
+  if (end == token.c_str() || end != token.c_str() + token.size() ||
+      errno == ERANGE) {
     return std::nullopt;
   }
   return v;
@@ -214,7 +217,8 @@ TEST(WireTest, TokenizerMatchesReferenceOnRandomBytes) {
   }
 }
 
-/// One candidate id in a random spelling that strtol reads as `id`.
+/// One candidate id in a random spelling that strtol reads as `id`, or
+/// (case 5) a near miss with an embedded NUL that must be rejected.
 std::string SpellId(CandidateId id, Rng* rng) {
   const std::string digits = std::to_string(id);
   switch (rng->NextUint64(12)) {
@@ -223,7 +227,7 @@ std::string SpellId(CandidateId id, Rng* rng) {
     case 2: return "\v" + digits;
     case 3: return "\f+" + digits;
     case 4: return id == 0 ? "-0" : digits;
-    case 5: return digits + std::string(1, '\0') + "junk";  // strtol stops at NUL
+    case 5: return digits + std::string(1, '\0') + "junk";
     default: return digits;
   }
 }
