@@ -43,6 +43,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +68,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -284,12 +284,18 @@ void PrintScenarioJson(std::FILE* f, const char* name,
 // --- result cache: cached vs uncached read mix, SELECT, large-n EVAL -------
 
 struct SelectCacheBench {
-  // Read-heavy mix at a fixed generation, cached vs cache-disabled twin.
+  // Read-heavy mix at a fixed generation, cached vs cache-disabled twin,
+  // replayed `reps` times per side. The seconds are per-side medians; the
+  // speedups are uncached/cached per rep (median, min, max).
   int n = 0;
   int base_rankings = 0;
   long requests = 0;
+  int reps = 0;
   double cached_seconds = 0.0;
   double uncached_seconds = 0.0;
+  double speedup_median = 0.0;
+  double speedup_min = 0.0;
+  double speedup_max = 0.0;
   bool equivalent = false;
   // SELECT algorithm split: greedy-certified vs forced ILP fallback.
   int select_n = 0;
@@ -372,19 +378,45 @@ SelectCacheBench RunSelectCacheBench(bool quick) {
   }
   result.requests = static_cast<long>(requests.size());
 
-  serve::ContextManager cached_manager;
-  const std::vector<std::string> cached_responses =
-      ReplayMix(&cached_manager, requests, &result.cached_seconds);
-  serve::ContextManager uncached_manager;
-  uncached_manager.SetResultCacheEnabled(false);
-  const std::vector<std::string> uncached_responses =
-      ReplayMix(&uncached_manager, requests, &result.uncached_seconds);
-  result.equivalent = cached_responses == uncached_responses;
-  if (!result.equivalent) {
-    std::fprintf(stderr,
-                 "FATAL: cached responses drifted from the uncached twin\n");
-    std::abort();
+  // The two sides alternate rep by rep (and swap which goes first), so
+  // host drift lands on both; each rep replays the whole mix on a fresh
+  // manager, setup included.
+  result.reps = 7;
+  std::vector<double> cached(result.reps);
+  std::vector<double> uncached(result.reps);
+  std::vector<double> speedups(result.reps);
+  for (int rep = 0; rep < result.reps; ++rep) {
+    serve::ContextManager cached_manager;
+    serve::ContextManager uncached_manager;
+    uncached_manager.SetResultCacheEnabled(false);
+    std::vector<std::string> cached_responses;
+    std::vector<std::string> uncached_responses;
+    if (rep % 2 == 0) {
+      cached_responses = ReplayMix(&cached_manager, requests, &cached[rep]);
+      uncached_responses =
+          ReplayMix(&uncached_manager, requests, &uncached[rep]);
+    } else {
+      uncached_responses =
+          ReplayMix(&uncached_manager, requests, &uncached[rep]);
+      cached_responses = ReplayMix(&cached_manager, requests, &cached[rep]);
+    }
+    if (cached_responses != uncached_responses) {
+      std::fprintf(
+          stderr, "FATAL: cached responses drifted from the uncached twin\n");
+      std::abort();
+    }
+    speedups[rep] = cached[rep] > 0.0 ? uncached[rep] / cached[rep] : 0.0;
   }
+  result.equivalent = true;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  result.cached_seconds = median(cached);
+  result.uncached_seconds = median(uncached);
+  result.speedup_median = median(speedups);
+  result.speedup_min = *std::min_element(speedups.begin(), speedups.end());
+  result.speedup_max = *std::max_element(speedups.begin(), speedups.end());
 
   // SELECT algorithm split on one consensus: a single-grouping query
   // greedy certifies, and the crafted cross-grouping trap (phase A's
@@ -1204,10 +1236,6 @@ int main() {
                                      : 0.0;
   const OpLogBench oplog = RunOpLogBench(QuickMode());
   const SelectCacheBench select_cache = RunSelectCacheBench(QuickMode());
-  const double cached_speedup =
-      select_cache.cached_seconds > 0.0
-          ? select_cache.uncached_seconds / select_cache.cached_seconds
-          : 0.0;
 
   const double speedup =
       batched.seconds > 0.0 ? rebuild.seconds / batched.seconds : 0.0;
@@ -1235,16 +1263,19 @@ int main() {
   std::fprintf(
       f,
       "  \"select_cache\": {\"n\": %d, \"base_rankings\": %d, "
-      "\"requests\": %ld,\n"
+      "\"requests\": %ld, \"reps\": %d,\n"
       "    \"cached_seconds\": %.6f, \"uncached_seconds\": %.6f, "
-      "\"speedup_cached\": %.3f, \"equivalent\": %s,\n"
+      "\"speedup_cached_median\": %.3f, \"speedup_cached_min\": %.3f, "
+      "\"speedup_cached_max\": %.3f, \"equivalent\": %s,\n"
       "    \"select_n\": %d, \"select_reps\": %d, "
       "\"greedy_mean_us\": %.2f, \"ilp_mean_us\": %.2f,\n"
       "    \"eval_n\": %d, \"eval_rankings\": %d, "
       "\"eval_cold_seconds\": %.6f, \"eval_warm_seconds\": %.6f},\n",
       select_cache.n, select_cache.base_rankings, select_cache.requests,
-      select_cache.cached_seconds, select_cache.uncached_seconds,
-      cached_speedup, select_cache.equivalent ? "true" : "false",
+      select_cache.reps, select_cache.cached_seconds,
+      select_cache.uncached_seconds, select_cache.speedup_median,
+      select_cache.speedup_min, select_cache.speedup_max,
+      select_cache.equivalent ? "true" : "false",
       select_cache.select_n, select_cache.select_reps,
       select_cache.greedy_mean_us, select_cache.ilp_mean_us,
       select_cache.eval_n, select_cache.eval_rankings,
@@ -1332,12 +1363,15 @@ int main() {
         replication.speedup);
   }
 #endif
-  std::printf("select_cache (n=%d, %d rankings, %ld req): cached %.4fs vs "
-              "uncached %.4fs -> %.2fx, equivalent; SELECT greedy %.1fus vs "
-              "ilp %.1fus; EVAL n=%d cold %.4fs warm %.4fs\n",
+  std::printf("select_cache (n=%d, %d rankings, %ld req, %d reps): cached "
+              "%.4fs vs uncached %.4fs -> median %.2fx (min %.2fx, max "
+              "%.2fx), equivalent; SELECT greedy %.1fus vs ilp %.1fus; EVAL "
+              "n=%d cold %.4fs warm %.4fs\n",
               select_cache.n, select_cache.base_rankings,
-              select_cache.requests, select_cache.cached_seconds,
-              select_cache.uncached_seconds, cached_speedup,
+              select_cache.requests, select_cache.reps,
+              select_cache.cached_seconds, select_cache.uncached_seconds,
+              select_cache.speedup_median, select_cache.speedup_min,
+              select_cache.speedup_max,
               select_cache.greedy_mean_us, select_cache.ilp_mean_us,
               select_cache.eval_n, select_cache.eval_cold_seconds,
               select_cache.eval_warm_seconds);

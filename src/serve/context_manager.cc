@@ -12,17 +12,6 @@
 namespace manirank::serve {
 namespace {
 
-/// The registry methods `ctx` can serve, in paper order — the single
-/// definition of the supported-subset predicate (SupportedMethods and
-/// RunSupported must never disagree).
-std::vector<const MethodSpec*> SupportedFor(const ConsensusContext& ctx) {
-  std::vector<const MethodSpec*> supported;
-  for (const MethodSpec& method : AllMethods()) {
-    if (ctx.SupportsMethod(method)) supported.push_back(&method);
-  }
-  return supported;
-}
-
 /// Context::Snapshot(), extended to the empty profile (which it rejects:
 /// a summarized restore of zero rankings would be useless — but an exact
 /// floor of a fresh table is exactly that, and must serialize).
@@ -260,7 +249,7 @@ size_t ContextManager::ApplyReplicated(const std::string& name,
   // can coalesce into this drain and the leader's per-record
   // applied_batches bookkeeping is reproduced exactly.
   size_t applied = 0;
-  Drain(*shard, /*try_only=*/false, &applied);
+  Drain(*shard, &applied);
   return applied;
 }
 
@@ -276,7 +265,7 @@ void ContextManager::SetReplicaProgress(const std::string& name,
   shard->replica_connected = connected;
 }
 
-bool ContextManager::Drain(Shard& shard, bool try_only, size_t* applied,
+void ContextManager::Drain(Shard& shard, size_t* applied,
                            const std::function<void()>& under_gate) {
   if (applied != nullptr) *applied = 0;
   // A method body re-entering the serving API for its own table would
@@ -286,27 +275,17 @@ bool ContextManager::Drain(Shard& shard, bool try_only, size_t* applied,
     throw std::logic_error(
         "serving request on a table from inside one of its own method runs");
   }
-  std::unique_lock<std::mutex> apply_lock(shard.apply_mu, std::defer_lock);
-  if (try_only) {
-    if (!apply_lock.try_lock()) return false;
-  } else {
-    apply_lock.lock();
-  }
+  std::lock_guard<std::mutex> apply_lock(shard.apply_mu);
   // Fast path: nothing queued — skip the exclusive gate entirely so query
   // waves with no pending mutations never block each other. A caller that
   // needs the gate held (under_gate) claims it even for an empty queue.
   {
     std::lock_guard<std::mutex> qlock(shard.queue_mu);
-    if (shard.queue.empty() && under_gate == nullptr) return true;
+    if (shard.queue.empty() && under_gate == nullptr) return;
   }
-  // Claim the gate for the whole backlog, then steal it. Stealing after
-  // the claim keeps try_only side-effect free on failure, and ops
-  // enqueued from here on simply ride the next wave.
-  if (try_only) {
-    if (!shard.gate.TryLockExclusive()) return false;
-  } else {
-    shard.gate.LockExclusive();
-  }
+  // Claim the gate for the whole backlog, then steal it: ops enqueued
+  // from here on simply ride the next wave.
+  shard.gate.LockExclusive();
   // Published for the async scheduling hooks: while this is set a
   // draining verb on the same table would block on the exclusive gate,
   // so an async front end parks such requests instead of burning a
@@ -384,7 +363,6 @@ bool ContextManager::Drain(Shard& shard, bool try_only, size_t* applied,
   shard.gate.UnlockExclusive();
   NotifyDrained(shard);
   if (applied != nullptr) *applied = total;
-  return true;
 }
 
 void ContextManager::NotifyDrained(Shard& shard) {
@@ -441,13 +419,8 @@ void ContextManager::ResyncQueueAfterFailedApply(Shard& shard) {
 size_t ContextManager::Flush(const std::string& name) {
   std::shared_ptr<Shard> shard = Find(name);
   size_t applied = 0;
-  Drain(*shard, /*try_only=*/false, &applied);
+  Drain(*shard, &applied);
   return applied;
-}
-
-bool ContextManager::TryFlush(const std::string& name, size_t* applied) {
-  std::shared_ptr<Shard> shard = Find(name);
-  return Drain(*shard, /*try_only=*/true, applied);
 }
 
 ConsensusOutput ContextManager::Run(const std::string& name,
@@ -467,7 +440,7 @@ ConsensusOutput ContextManager::Run(const std::string& name,
                                     const ConsensusOptions& options,
                                     uint64_t* generation_after) {
   std::shared_ptr<Shard> shard = Find(name);
-  Drain(*shard, /*try_only=*/false, nullptr);
+  Drain(*shard, nullptr);
   // The context's attached gate admits a cache-miss run shared, so a
   // concurrent drain on another thread waits for it (and vice versa).
   // Empty-profile rejection happens inside RunMethod, under that gate.
@@ -508,30 +481,6 @@ ConsensusOutput ContextManager::RunCachedOn(Shard& shard,
     shard.cache.InsertRun(method.id, options_hash, observed, out);
   }
   if (generation_out != nullptr) *generation_out = observed;
-  return out;
-}
-
-std::vector<ConsensusOutput> ContextManager::RunAll(
-    const std::string& name, const ConsensusOptions& options,
-    uint64_t* generation_after) {
-  // One lookup for both the guard and the sweep: a concurrent
-  // DROP + RESTORE of the same name cannot swap a summarized shard in
-  // between them and hand back a subset misaligned with AllMethods().
-  std::shared_ptr<Shard> shard = Find(name);
-  // Callers rely on the outputs aligning with AllMethods(), which a
-  // summarized (restored) table cannot provide — fail before running
-  // anything instead of throwing mid-sweep out of B2's RequireBase.
-  if (!shard->ctx->has_base_rankings()) {
-    throw std::logic_error("RunAll needs the retained profile, but table '" +
-                           name +
-                           "' was restored from a summarized snapshot; use "
-                           "RunSupported");
-  }
-  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> results =
-      RunSupportedOn(*shard, options, generation_after);
-  std::vector<ConsensusOutput> out;
-  out.reserve(results.size());
-  for (auto& [spec, output] : results) out.push_back(std::move(output));
   return out;
 }
 
@@ -620,7 +569,7 @@ TableSnapshot ContextManager::SnapshotTable(const std::string& name,
   // drain produced, and no concurrent drain can slip a half-applied wave
   // underneath it. (Context::Snapshot's own shared acquisition nests
   // inside our exclusive hold, which the gate admits re-entrantly.)
-  Drain(*shard, /*try_only=*/false, nullptr, [&] {
+  Drain(*shard, nullptr, [&] {
     // The exact modes tolerate an empty profile (a fresh table's op-log
     // floor); kSummarized keeps rejecting it via Context::Snapshot —
     // restoring zero folded rankings would serve nothing.
@@ -713,36 +662,29 @@ TableSnapshot ContextManager::BuildFloor(const Shard& shard) {
 
 void ContextManager::SetDurabilityHook(DurabilityHook* hook) { hook_ = hook; }
 
-std::vector<const MethodSpec*> ContextManager::SupportedMethods(
-    const std::string& name) const {
-  return SupportedFor(*Find(name)->ctx);
-}
-
 std::vector<std::pair<const MethodSpec*, ConsensusOutput>>
 ContextManager::RunSupported(const std::string& name,
                              const ConsensusOptions& options,
                              uint64_t* generation_after) {
-  return RunSupportedOn(*Find(name), options, generation_after);
-}
-
-std::vector<std::pair<const MethodSpec*, ConsensusOutput>>
-ContextManager::RunSupportedOn(Shard& shard, const ConsensusOptions& options,
-                               uint64_t* generation_after) {
-  Drain(shard, /*try_only=*/false, nullptr);
-  const std::vector<const MethodSpec*> supported = SupportedFor(*shard.ctx);
+  const std::shared_ptr<Shard> shard = Find(name);
+  Drain(*shard, nullptr);
+  std::vector<const MethodSpec*> supported;
+  for (const MethodSpec& method : AllMethods()) {
+    if (shard->ctx->SupportsMethod(method)) supported.push_back(&method);
+  }
   const uint64_t options_hash = OptionsHash(options);
   // All-or-nothing cache probe at one generation: the sweep contract is
   // that every output comes from the same profile state, so a partial
   // hit cannot mix cached results with a keyed re-run (which may observe
   // a newer generation) — any miss falls back to one full sweep.
-  const uint64_t lookup_generation = shard.ctx->generation();
+  const uint64_t lookup_generation = shard->ctx->generation();
   std::vector<ConsensusOutput> outputs;
   outputs.reserve(supported.size());
   bool all_hit = !supported.empty();
   for (const MethodSpec* method : supported) {
     ConsensusOutput out;
-    if (!shard.cache.LookupRun(method->id, options_hash, lookup_generation,
-                               &out)) {
+    if (!shard->cache.LookupRun(method->id, options_hash,
+                                lookup_generation, &out)) {
       all_hit = false;
       break;
     }
@@ -753,15 +695,15 @@ ContextManager::RunSupportedOn(Shard& shard, const ConsensusOptions& options,
     // One RunMethods call = one reader registration: a concurrent drain
     // waits for the whole sweep, so every output (and the reported
     // generation) comes from the same profile state.
-    outputs = shard.ctx->RunMethods(supported, options, &observed);
+    outputs = shard->ctx->RunMethods(supported, options, &observed);
     for (size_t i = 0; i < outputs.size(); ++i) {
       if (outputs[i].exact) {
-        shard.cache.InsertRun(supported[i]->id, options_hash, observed,
-                              outputs[i]);
+        shard->cache.InsertRun(supported[i]->id, options_hash, observed,
+                               outputs[i]);
       }
     }
   }
-  shard.runs.fetch_add(outputs.size(), std::memory_order_relaxed);
+  shard->runs.fetch_add(outputs.size(), std::memory_order_relaxed);
   if (generation_after != nullptr) {
     *generation_after = observed;
   }

@@ -57,7 +57,8 @@ struct TableStats {
   uint64_t applied_batches = 0;
   /// Rankings folded via the queue so far.
   uint64_t applied_rankings = 0;
-  /// Method runs served (RunMethod calls; RunAll counts one per method).
+  /// Method runs served (RunMethod calls; RunSupported counts one per
+  /// method).
   uint64_t runs = 0;
   /// Queued REMOVEs discarded because a failed batch apply dropped the
   /// profile state their index referenced (see Drain's failure resync).
@@ -219,7 +220,7 @@ class DurabilityHook {
 /// directly: they are validated against the shard's *virtual* profile
 /// (applied size plus queued deltas), enqueued, and coalesced — adjacent
 /// append batches merge into one pending AddRankings call. The queue is
-/// drained at the next query wave (Run / RunAll / Flush): the drainer
+/// drained at the next query wave (Run / RunSupported / Flush): the drainer
 /// applies the whole backlog under the shard's exclusive gate, then runs
 /// under the shared gate. Queries therefore always observe a batch
 /// boundary, mutations admitted mid-wave simply ride the next wave, and a
@@ -271,10 +272,6 @@ class ContextManager {
   /// applied (appended + removed).
   size_t Flush(const std::string& name);
 
-  /// Non-blocking Flush: returns false without applying anything when
-  /// the exclusive gate cannot be claimed immediately (runs in flight).
-  bool TryFlush(const std::string& name, size_t* applied = nullptr);
-
   /// Drains the queue, then runs one registry method under the shared
   /// gate. Throws std::invalid_argument for unknown methods and empty
   /// profiles. `generation_after`, when given, receives the profile
@@ -287,14 +284,6 @@ class ContextManager {
   ConsensusOutput Run(const std::string& name, const MethodSpec& method,
                       const ConsensusOptions& options = {},
                       uint64_t* generation_after = nullptr);
-
-  /// Drains the queue, then sweeps every registry method in paper order
-  /// against the shard's shared caches. The outputs align with
-  /// AllMethods(), so summarized (restored) tables are rejected up front
-  /// (std::logic_error) — use RunSupported for a table-agnostic sweep.
-  std::vector<ConsensusOutput> RunAll(const std::string& name,
-                                      const ConsensusOptions& options = {},
-                                      uint64_t* generation_after = nullptr);
 
   /// Stats snapshot; does NOT drain the queue.
   TableStats Stats(const std::string& name) const;
@@ -392,23 +381,18 @@ class ContextManager {
   TableStats RestoreTable(const std::string& name, TableSnapshot snapshot,
                           TableRole role = TableRole::kLeader);
 
-  /// The registry methods the named table can currently serve, in paper
-  /// order: all eight for retained profiles, the precedence/Borda subset
-  /// for summarized (restored) tables.
-  std::vector<const MethodSpec*> SupportedMethods(
-      const std::string& name) const;
-
-  /// Drains the queue, then sweeps every method the table supports as ONE
-  /// shared-gate hold — atomic with respect to mutation waves exactly
-  /// like RunAll, but servable on summarized (restored) tables too.
-  /// Returns {method, output} pairs in paper order.
+  /// Drains the queue, then sweeps every registry method the table can
+  /// serve — all eight for retained profiles, the precedence/Borda
+  /// subset for summarized (restored) tables — as ONE shared-gate hold,
+  /// atomic with respect to mutation waves. Returns {method, output}
+  /// pairs in paper order.
   std::vector<std::pair<const MethodSpec*, ConsensusOutput>> RunSupported(
       const std::string& name, const ConsensusOptions& options = {},
       uint64_t* generation_after = nullptr);
 
   // --- non-blocking drain scheduling hooks (async front ends) ---------
   //
-  // A draining verb (Run / RunAll / RunSupported / Flush / SnapshotTable)
+  // A draining verb (Run / RunSupported / Flush / SnapshotTable)
   // can block for the length of a whole exclusive backlog fold. An
   // async front end dispatching requests onto a bounded worker pool must
   // not let one table's fold absorb every worker. These hooks let it route
@@ -505,12 +489,6 @@ class ContextManager {
   /// public verb adds the follower readonly check on top).
   TableStats EnqueueAppend(Shard& shard, std::vector<Ranking> rankings);
   TableStats EnqueueRemove(Shard& shard, size_t index);
-  /// RunSupported on an already-resolved shard (RunAll shares it so its
-  /// retained-profile guard and the sweep use one lookup — no window for
-  /// a concurrent DROP + RESTORE to swap the shard between them).
-  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> RunSupportedOn(
-      Shard& shard, const ConsensusOptions& options,
-      uint64_t* generation_after);
   /// Stats snapshot straight off a shard (no name lookup).
   static TableStats StatsFor(const Shard& shard);
   /// One method run through the shard's result cache: lookup at the
@@ -524,14 +502,13 @@ class ContextManager {
                                      uint64_t* generation_out);
   /// Stable cache key for the per-call knobs.
   static uint64_t OptionsHash(const ConsensusOptions& options);
-  /// Steals and applies the queued backlog. With `try_only`, gives up
-  /// without side effects when the gate is contended. Returns rankings
-  /// applied via *applied; returns false only in try_only mode. When
-  /// `under_gate` is given it runs after the backlog applies, still under
-  /// the exclusive gate (and the gate is claimed even for an empty
-  /// queue) — SnapshotTable uses this to read a batch-boundary state no
+  /// Steals and applies the queued backlog, blocking on the exclusive
+  /// gate. Returns rankings applied via *applied. When `under_gate` is
+  /// given it runs after the backlog applies, still under the exclusive
+  /// gate (and the gate is claimed even for an empty queue) —
+  /// SnapshotTable uses this to read a batch-boundary state no
   /// concurrent drain can interleave.
-  bool Drain(Shard& shard, bool try_only, size_t* applied,
+  void Drain(Shard& shard, size_t* applied,
              const std::function<void()>& under_gate = nullptr);
   /// Rebuilds the virtual-size bookkeeping after a failed batch apply:
   /// replays the surviving queue against the applied profile size,

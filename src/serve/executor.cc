@@ -22,13 +22,14 @@
 
 #include "serve/durability.h"
 #include "util/event_poller.h"
+#include "util/threading.h"
 
 namespace manirank::serve {
 namespace {
 
 /// Longest request line eligible for the loop-thread inline fast path.
 /// Small enough that parsing + a non-blocking table op cannot stall the
-/// loop's other connections; anything bigger goes through the pool.
+/// loop's other connections; anything bigger goes to the workers.
 constexpr size_t kInlineMaxLineBytes = 4096;
 
 /// WFQ billing: one draining verb (RUN/FLUSH — seconds of gate-holding
@@ -107,6 +108,14 @@ int OpenListener(int port, bool reuseport, int* bound_port,
 /// Per-pass byte budget for one replication pump: bounds both the file
 /// read on the loop thread and the response-buffer growth per stream.
 constexpr size_t kReplPumpBytes = 256u << 10;
+
+/// Ready-heap order: std::push_heap/pop_heap keep the smallest
+/// (vstart, arrival) entry at the front.
+template <typename Entry>
+bool ReadyLater(const Entry& a, const Entry& b) {
+  return a.vstart > b.vstart ||
+         (a.vstart == b.vstart && a.arrival > b.arrival);
+}
 
 }  // namespace
 
@@ -344,8 +353,6 @@ ServeExecutor::ServeExecutor(ContextManager* manager, ServerOptions options)
 
 ServeExecutor::~ServeExecutor() { Shutdown(); }
 
-size_t ServeExecutor::workers() const { return options_.workers; }
-
 uint64_t ServeExecutor::requests_served() const {
   return requests_served_.load();
 }
@@ -410,7 +417,10 @@ bool ServeExecutor::Start(std::string* error) {
     l.accept_ready = true;
   }
   io_loops_ = nloops;
-  pool_ = std::make_unique<TaskPool>(options_.workers);
+  workers_stopping_ = false;
+  for (size_t i = 0; i < options_.workers; ++i) {
+    workers_.emplace_back([this] { WorkerMain(); });
+  }
   // Park-instead-of-block for draining verbs (see DispatchLocked); the
   // observer releases parked requests the moment the fold ends.
   manager_->SetDrainObserver(
@@ -439,11 +449,20 @@ void ServeExecutor::Shutdown() {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // Stop() then drains whatever stragglers belong to already-aborted
-  // connections; those completions may still ring loop doorbells, so the
-  // wake pipes stay open until after the pool is down.
-  pool_->Stop();
+  // The workers then drain whatever stragglers belong to already-aborted
+  // connections and exit; those completions may still ring loop
+  // doorbells, so the wake pipes stay open until the workers are joined.
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    workers_stopping_ = true;
+  }
+  ready_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
   manager_->SetDrainObserver(nullptr);
+  // A policy pass queued after the workers exited never ran; let a
+  // restarted executor schedule again.
+  policy_eval_scheduled_.store(false);
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     parked_.clear();
@@ -570,7 +589,7 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
     if (loop.index == 0 && options_.durability != nullptr && !stopping) {
       // Loop 0 doubles as the snapshot-policy timer: bound its poll
       // timeout by the earliest SECONDS deadline and hand due work to
-      // the pool — the loop thread itself never snapshots (a truncation
+      // the workers — the loop thread itself never snapshots (a truncation
       // drains a whole table under its exclusive gate).
       const int64_t due_ms = options_.durability->NextDeadlineMs();
       if (due_ms == 0) {
@@ -1012,29 +1031,20 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
         conn->repl->table = table;
         repl_conns_.emplace(conn.get(), conn);
         if (conn->loop != nullptr) conn->loop->repl_streams.push_back(conn);
-        const std::shared_ptr<Conn> stream = conn;
         // The worker cannot observe a half-built stream: StartReplication
         // takes sched_mu_ (held here) before reading the Repl state.
-        if (pool_->Submit([this, stream] { StartReplication(stream); })) {
-          if (conn->loop != nullptr) {
-            ++conn->loop->shadow.repl_sessions;
-            conn->loop->PublishLocked();
-          }
-          return nullptr;
+        EnqueueJobLocked([this, conn] { StartReplication(conn); });
+        if (conn->loop != nullptr) {
+          ++conn->loop->shadow.repl_sessions;
+          conn->loop->PublishLocked();
         }
-        // Pool already stopping (shutdown race): revert and let the
-        // normal path answer whatever the dispatcher says.
-        conn->repl.reset();
-        repl_conns_.erase(conn.get());
-        if (conn->loop != nullptr) conn->loop->repl_streams.pop_back();
-        conn->scheduling_reads = true;
-      } else {
-        // Pipelined predecessors would interleave their responses into
-        // the binary stream; refuse (ordered after them, as a barrier).
-        synthetic =
-            "ERR conflict: REPLICATE must be the only request in flight "
-            "on its connection";
+        return nullptr;
       }
+      // Pipelined predecessors would interleave their responses into the
+      // binary stream; refuse (ordered after them, as a barrier).
+      synthetic =
+          "ERR conflict: REPLICATE must be the only request in flight on "
+          "its connection";
     }
   }
   auto owned = std::make_unique<Request>();
@@ -1077,7 +1087,7 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
         !stopping_.load() && node->line.size() <= kInlineMaxLineBytes) {
       // Loop-thread fast path: a small dependency-free non-draining
       // per-table verb (STATS, small APPEND, REMOVE — all non-blocking
-      // on the gate) executes where it was parsed, skipping the pool
+      // on the gate) executes where it was parsed, skipping the worker
       // handoff and its wakeups. The caller executes the returned node.
       return node;
     }
@@ -1120,7 +1130,7 @@ void ServeExecutor::DispatchLocked(Request* node) {
   if (!stopping_.load() && node->draining && !node->table.empty() &&
       manager_->IsDraining(node->table)) {
     // The table's backlog is mid-fold: executing now would just block a
-    // pool worker on the exclusive gate. Park; OnDrainFinished (the
+    // worker on the exclusive gate. Park; OnDrainFinished (the
     // manager's drain observer) re-dispatches the moment the fold ends.
     // No lost wakeup: the manager clears its draining flag before the
     // observer fires, and the observer takes sched_mu_, so it cannot
@@ -1152,35 +1162,44 @@ void ServeExecutor::EnqueueReadyLocked(Request* node) {
   entry.vstart = vstart;
   entry.arrival = node->arrival;
   entry.node = node;
-  ready_.push_back(entry);
-  const auto later = [](const ReadyEntry& a, const ReadyEntry& b) {
-    return a.vstart > b.vstart ||
-           (a.vstart == b.vstart && a.arrival > b.arrival);
-  };
-  std::push_heap(ready_.begin(), ready_.end(), later);
-  // Generic pop-the-fairest jobs: exactly one per ready node, so the
-  // pool never idles while work is ready.
-  pool_->Submit([this] { RunNextReady(); });
+  PushReadyLocked(std::move(entry));
 }
 
-void ServeExecutor::RunNextReady() {
-  Request* node = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    if (ready_.empty()) return;
-    const auto later = [](const ReadyEntry& a, const ReadyEntry& b) {
-      return a.vstart > b.vstart ||
-             (a.vstart == b.vstart && a.arrival > b.arrival);
-    };
-    std::pop_heap(ready_.begin(), ready_.end(), later);
-    const ReadyEntry entry = ready_.back();
-    ready_.pop_back();
-    node = entry.node;
-    // Advance the WFQ clock to the dispatched start time; lanes that
-    // idled past it snap forward on their next enqueue.
-    virtual_time_ = std::max(virtual_time_, entry.vstart);
+void ServeExecutor::EnqueueJobLocked(std::function<void()> job) {
+  ReadyEntry entry;
+  entry.vstart = virtual_time_;
+  entry.arrival = next_arrival_++;
+  entry.job = std::move(job);
+  PushReadyLocked(std::move(entry));
+}
+
+void ServeExecutor::PushReadyLocked(ReadyEntry entry) {
+  ready_.push_back(std::move(entry));
+  std::push_heap(ready_.begin(), ready_.end(), ReadyLater<ReadyEntry>);
+  ready_cv_.notify_one();
+}
+
+void ServeExecutor::WorkerMain() {
+  for (;;) {
+    ReadyEntry entry;
+    {
+      std::unique_lock<std::mutex> lock(sched_mu_);
+      ready_cv_.wait(lock,
+                     [this] { return workers_stopping_ || !ready_.empty(); });
+      if (ready_.empty()) return;  // stopping, and nothing left to drain
+      std::pop_heap(ready_.begin(), ready_.end(), ReadyLater<ReadyEntry>);
+      entry = std::move(ready_.back());
+      ready_.pop_back();
+      // Advance the WFQ clock to the dispatched start time; lanes that
+      // idled past it snap forward on their next enqueue.
+      virtual_time_ = std::max(virtual_time_, entry.vstart);
+    }
+    if (entry.node != nullptr) {
+      ExecuteNode(entry.node, /*inline_on_loop=*/false);
+    } else {
+      entry.job();
+    }
   }
-  ExecuteNode(node, /*inline_on_loop=*/false);
 }
 
 void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
@@ -1193,6 +1212,13 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
     // the contract so one rogue exception cannot kill a worker (or the
     // owning loop, on the inline path).
     response = "ERR internal: unexpected exception in request execution";
+  }
+  // A SNAPSHOT-POLICY may have armed a SECONDS deadline earlier than the
+  // timeout loop 0 is sleeping on: ring its doorbell so the policy timer
+  // re-arms even when this connection lives on another loop.
+  if (options_.durability != nullptr &&
+      response.rfind("OK SNAPSHOT-POLICY", 0) == 0) {
+    WakeLoop(*loops_[0]);
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
@@ -1247,7 +1273,7 @@ void ServeExecutor::CompleteLocked(Request* node, std::string response,
 }
 
 void ServeExecutor::SequenceLocked(Conn& conn) {
-  // Completion order is whatever the pool produced; the wire order is
+  // Completion order is whatever the workers produced; the wire order is
   // the request order. Append every response whose turn has come.
   for (auto it = conn.finished_out_of_order.find(conn.next_send);
        it != conn.finished_out_of_order.end();
@@ -1289,31 +1315,37 @@ void ServeExecutor::OnDrainFinished(const std::string& table) {
   }
   // A finished drain is exactly when a GENERATIONS policy can newly come
   // due — the generation only moves at fold boundaries. Outside
-  // sched_mu_: SchedulePolicyEval touches the pool, not the scheduler.
+  // sched_mu_: SchedulePolicyEval takes it to queue the pass.
   if (options_.durability != nullptr && !stopping_.load()) {
     SchedulePolicyEval();
   }
 }
 
 void ServeExecutor::SchedulePolicyEval() {
-  if (options_.durability == nullptr || pool_ == nullptr) return;
+  if (options_.durability == nullptr) return;
   if (policy_eval_scheduled_.exchange(true)) return;
-  const bool submitted = pool_->Submit([this] {
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  EnqueueJobLocked([this] {
     try {
       options_.durability->RunDuePolicies();
     } catch (...) {
       // Per-table failures are already swallowed inside; nothing else
-      // may escape onto a pool worker.
+      // may escape onto a worker.
     }
     policy_eval_scheduled_.store(false);
+    if (stopping_.load()) return;
     // Re-check after the clear: a deadline that came due during the pass
     // (or a drain that raced the flag) must not wait for the next loop-0
     // poll tick.
-    if (!stopping_.load() && options_.durability->NextDeadlineMs() == 0) {
+    const int64_t due_ms = options_.durability->NextDeadlineMs();
+    if (due_ms == 0) {
       SchedulePolicyEval();
+    } else if (due_ms > 0) {
+      // Loop 0 chose its poll timeout before this pass moved the SECONDS
+      // deadlines: wake it to re-arm the timer.
+      WakeLoop(*loops_[0]);
     }
   });
-  if (!submitted) policy_eval_scheduled_.store(false);  // pool stopping
 }
 
 void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {

@@ -27,12 +27,16 @@
 ///    single-writer (and TSan-clean) with no cross-loop fd migration.
 ///    Loops never execute requests, so accepts and every socket stay
 ///    live during the heaviest fold; and
-///  - a bounded shared worker pool (util/threading.h TaskPool) that
-///    executes parsed requests through the per-connection Dispatcher.
-///    Small non-draining per-table requests with no in-flight
-///    predecessor (STATS, APPEND, REMOVE) skip the pool handoff and
-///    execute inline on their loop — a read-mostly workload then scales
-///    with the loop count instead of serializing on the pool queue.
+///  - ServerOptions::workers worker threads owned by the executor. The
+///    ready queue is ONE heap under the scheduler lock: a worker sleeps
+///    on a condition variable until it is non-empty, pops the fairest
+///    entry, unlocks and executes it through the per-connection
+///    Dispatcher. Small non-draining per-table requests with no
+///    in-flight predecessor (STATS, APPEND, REMOVE) skip the worker
+///    handoff and execute inline on their loop — a read-mostly workload
+///    then scales with the loop count instead of serializing on the
+///    ready queue. Workers are plain threads, not ParallelFor workers,
+///    so a kernel inside a request still fans out.
 ///
 /// Scheduling preserves the observable semantics of serial execution:
 /// requests addressing the same table execute in arrival order, requests
@@ -45,8 +49,8 @@
 /// response stream is bit-identical to the synchronous dispatcher's,
 /// while the server-side work overlaps.
 ///
-/// Worker shares are dealt per TABLE, not per request: the pool-bound
-/// ready queue is a weighted-fair-queuing heap keyed by per-table
+/// Worker shares are dealt per TABLE, not per request: the ready queue
+/// is a weighted-fair-queuing heap keyed by per-table
 /// virtual start times (a draining verb bills kDrainWeight slots, a
 /// compute verb — EVAL/SELECT, which may run a consensus method on a
 /// cold result cache — kComputeWeight, a light verb one), so a hot
@@ -56,13 +60,13 @@
 /// arrival-order FIFO would queue it behind every one of them. Compute
 /// verbs are also excluded from the loop-thread inline fast path: a
 /// cold-cache consensus run (or SELECT's ILP fallback) always executes
-/// on the worker pool, never on an event loop.
+/// on a worker, never on an event loop.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is
 /// mid-fold is parked and re-dispatched by the drain observer instead
-/// of blocking a pool worker, so one table's exclusive mutation wave
-/// cannot absorb the whole pool. (SNAPSHOT drains too, but runs as a
+/// of blocking a worker, so one table's exclusive mutation wave cannot
+/// absorb every worker. (SNAPSHOT drains too, but runs as a
 /// barrier — alone on its connection — so it never stacks workers.)
 ///
 /// ## Backpressure
@@ -108,7 +112,7 @@
 /// connection into a leader-side replication stream (serve/protocol.h
 /// documents the wire format). The handshake (snapshot floor + committed
 /// log prefix, read from the durable files by DurabilityManager::
-/// TakeHandshake) is built on a pool worker; from then on the owning
+/// TakeHandshake) is built on a worker; from then on the owning
 /// event loop pumps newly committed log bytes into the ordinary response
 /// buffer, so replication rides the same edge-triggered write path and
 /// response-byte backpressure as every other connection. Pump triggers:
@@ -120,8 +124,9 @@
 /// and re-handshake".
 
 /// The TCP front end (this executor and the follower client of
-/// serve/replica.h) is built where epoll exists. Elsewhere manirank_serve
-/// keeps its stdin and --script modes.
+/// serve/replica.h, which includes this header for the gate) is built
+/// where epoll exists. Elsewhere manirank_serve keeps its stdin and
+/// --script modes.
 #if defined(__linux__)
 #define MANIRANK_SERVE_HAVE_SOCKETS 1
 #endif
@@ -129,17 +134,19 @@
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
-#include "util/threading.h"
 
 namespace manirank::serve {
 
@@ -182,11 +189,12 @@ struct ServerOptions {
   DurabilityManager* durability = nullptr;
 };
 
-/// Async request pipeline: N sharded event loops + shared worker pool +
-/// per-connection in-order response queues. See the file comment for the
-/// model. All public methods are safe to call from one controlling
-/// thread (the usual Start / wait / Shutdown lifecycle); the accessors
-/// are additionally safe from any thread while the executor runs.
+/// Async request pipeline: N sharded event loops + workers popping one
+/// fair ready queue + per-connection in-order response queues. See the
+/// file comment for the model. All public methods are safe to call from
+/// one controlling thread (the usual Start / wait / Shutdown lifecycle);
+/// the accessors are additionally safe from any thread while the
+/// executor runs.
 class ServeExecutor {
  public:
   explicit ServeExecutor(ContextManager* manager, ServerOptions options = {});
@@ -195,8 +203,8 @@ class ServeExecutor {
   ServeExecutor& operator=(const ServeExecutor&) = delete;
 
   /// Binds the SO_REUSEPORT listener group on 127.0.0.1:<port>,
-  /// registers the drain observer, and starts the event loops and worker
-  /// pool. On failure reports into `*error` and returns false.
+  /// registers the drain observer, and starts the event loops and
+  /// workers. On failure reports into `*error` and returns false.
   bool Start(std::string* error = nullptr);
 
   /// The bound port (after Start); useful with options.port == 0.
@@ -206,7 +214,6 @@ class ServeExecutor {
   /// destructor calls it.
   void Shutdown();
 
-  size_t workers() const;
   /// Event loops actually running (after Start).
   size_t io_loops() const { return io_loops_; }
   /// Requests whose responses were completed (diagnostics).
@@ -216,13 +223,15 @@ class ServeExecutor {
   struct Conn;
   struct IoLoop;
   struct Request;
-  /// Pool-bound ready-queue entry: a min-heap on (vstart, arrival).
-  /// vstart is the request's weighted-fair-queuing virtual start time —
-  /// see EnqueueReadyLocked; arrival breaks ties back to strict FIFO.
+  /// Ready-queue entry: a min-heap on (vstart, arrival). vstart is the
+  /// weighted-fair-queuing virtual start time — see EnqueueReadyLocked;
+  /// arrival breaks ties back to strict FIFO. Carries a request, or
+  /// (node == nullptr) a side job — see EnqueueJobLocked.
   struct ReadyEntry {
     uint64_t vstart = 0;
     uint64_t arrival = 0;
     Request* node = nullptr;
+    std::function<void()> job;
   };
   enum class ReadStatus { kDrained, kBudget, kBackpressured, kEof, kAborted };
 
@@ -237,17 +246,26 @@ class ServeExecutor {
   ReadStatus HandleReadable(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   /// Classifies and registers one request line. Returns a node the
   /// CALLER must execute inline (loop-thread fast path), or nullptr when
-  /// the request was dispatched to the pool / parked / answered.
+  /// the request was dispatched to a worker / parked / answered.
   Request* ScheduleLine(const std::shared_ptr<Conn>& conn, std::string&& line);
   void ScheduleOversize(const std::shared_ptr<Conn>& conn);
   /// sched_mu_ held: dispatch a dependency-free request (park, answer a
-  /// synthetic, or enqueue for the pool).
+  /// synthetic, or enqueue for the workers).
   void DispatchLocked(Request* node);
   /// sched_mu_ held: stamp the WFQ virtual start time, push onto the
-  /// ready heap, and wake one pool worker.
+  /// ready heap, and wake one worker.
   void EnqueueReadyLocked(Request* node);
-  /// Worker-thread entry: pop the fairest ready request and execute it.
-  void RunNextReady();
+  /// sched_mu_ held: queue a side job (replication handshake,
+  /// snapshot-policy pass) on the same heap. It is stamped at the
+  /// current virtual time and billed to no lane, so it runs as soon as a
+  /// worker frees.
+  void EnqueueJobLocked(std::function<void()> job);
+  /// sched_mu_ held: the one push onto ready_ (heap insert + wake one
+  /// worker).
+  void PushReadyLocked(ReadyEntry entry);
+  /// Worker-thread body: wait for the ready heap, pop the fairest entry,
+  /// unlock, execute; exits once told to stop and the heap is empty.
+  void WorkerMain();
   /// Executes one node's request (no executor lock held), completes it,
   /// and — on the worker path — flushes the response.
   void ExecuteNode(Request* node, bool inline_on_loop);
@@ -260,13 +278,13 @@ class ServeExecutor {
   /// (deduplicated) and wake the loop.
   void NotifyLoopLocked(const std::shared_ptr<Conn>& conn);
   void OnDrainFinished(const std::string& table);
-  /// Dispatches one DurabilityManager::RunDuePolicies pass to the worker
-  /// pool, deduplicated: at most one pass is queued/running at a time
-  /// (policy snapshots drain whole tables — stacking them would absorb
-  /// the pool). The runner re-checks for newly due work after clearing
-  /// the flag, so a deadline arriving mid-pass is never lost.
+  /// Queues one DurabilityManager::RunDuePolicies pass for the workers
+  /// (takes sched_mu_), deduplicated: at most one pass is queued/running
+  /// at a time (policy snapshots drain whole tables — stacking them would
+  /// absorb every worker). The runner re-checks for newly due work after
+  /// clearing the flag, so a deadline arriving mid-pass is never lost.
   void SchedulePolicyEval();
-  /// Pool-worker entry for a replication handshake: reads the snapshot
+  /// Worker entry for a replication handshake: reads the snapshot
   /// floor + committed log prefix (TakeHandshake) and appends the header
   /// line plus both raw payloads to the connection's response buffer —
   /// the stream then continues via PumpReplication on the owning loop.
@@ -292,7 +310,7 @@ class ServeExecutor {
   std::atomic<bool> stopping_{false};
   size_t io_loops_ = 0;
   std::vector<std::unique_ptr<IoLoop>> loops_;
-  std::unique_ptr<TaskPool> pool_;
+  std::vector<std::thread> workers_;
 
   /// One scheduling lock for parse-side (event loops) and completion-side
   /// (workers) bookkeeping. Scheduling operations are micro-sized
@@ -300,14 +318,20 @@ class ServeExecutor {
   /// flushing happens under per-connection write locks, not this one.
   std::mutex sched_mu_;
   /// Owns every unfinished request; executing workers hold raw pointers,
-  /// so nodes die only in CompleteLocked (or teardown after the pool has
-  /// drained).
+  /// so nodes die only in CompleteLocked (or teardown after the workers
+  /// have drained).
   std::unordered_map<Request*, std::unique_ptr<Request>> live_nodes_;
-  /// Dependency-free requests awaiting a worker: WFQ min-heap (see
-  /// ReadyEntry). On a saturated pool the pop order is the per-table
-  /// weighted fair order; an idle pool still takes everything
-  /// immediately.
+  /// Dependency-free requests and side jobs awaiting a worker: WFQ
+  /// min-heap (see ReadyEntry), the executor's only run queue. With every
+  /// worker busy the pop order is the per-table weighted fair order; an
+  /// idle worker still takes everything immediately.
   std::vector<ReadyEntry> ready_;
+  /// Signalled under sched_mu_ when ready_ gains an entry or
+  /// workers_stopping_ is set.
+  std::condition_variable ready_cv_;
+  /// Set by Shutdown after the loops are joined: the workers drain
+  /// ready_, then exit.
+  bool workers_stopping_ = false;
   uint64_t next_arrival_ = 0;
   /// WFQ clock: the largest virtual start time ever popped. A table
   /// idle past this point has its stale vfinish snapped forward, so

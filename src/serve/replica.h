@@ -29,12 +29,9 @@
 /// lifecycle-lock hold that swaps the map entry, with the new table
 /// read-only before it is visible.
 
-// Built with the executor's TCP front end (see serve/executor.h).
-#if defined(__linux__)
-#ifndef MANIRANK_SERVE_HAVE_SOCKETS
-#define MANIRANK_SERVE_HAVE_SOCKETS 1
-#endif
-#endif
+// Built with the executor's TCP front end: serve/executor.h defines
+// MANIRANK_SERVE_HAVE_SOCKETS.
+#include "serve/executor.h"
 
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 

@@ -3,11 +3,12 @@
 // contract extends to the wire: a pipelined client must receive exactly
 // one response line per request, in request order, bit-identical to
 // replaying the same request stream through a synchronous Dispatcher —
-// no matter how the executor overlaps the work across its pool. Also
+// no matter how the executor overlaps the work across its workers. Also
 // covered: the final request arriving without a trailing newline, the
 // 16 MiB oversize-line rejection (the client must actually RECEIVE the
-// ERR — half-close + drain, not an immediate close/RST), read
-// backpressure under a huge pipelined burst, and graceful shutdown.
+// ERR — half-close + drain, not an immediate close/RST), the SECONDS
+// snapshot policy firing with no traffic, read backpressure under a huge
+// pipelined burst, and graceful shutdown.
 
 #include "serve/executor.h"
 
@@ -22,6 +23,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -247,6 +250,57 @@ TEST(ServeSocketTest, ExecutorReplicateReadsTheTableLikeTheDispatcher) {
   const std::vector<std::string> head = stream.ReadLines(1);
   ASSERT_EQ(head.size(), 1u);
   EXPECT_EQ(head[0].rfind("OK REPLICATE t ", 0), 0u) << head[0];
+  server.Shutdown();
+  std::filesystem::remove_all(dir);
+}
+
+/// The time-based snapshot policy runs off the executor alone: with no
+/// request arriving after the policy is set, event loop 0's poll timeout
+/// must notice the SECONDS deadline and queue the policy pass for a
+/// worker, which truncates the op log — and must re-arm after each pass,
+/// so a second truncation follows without traffic too. The test polls
+/// the durability layer in-process: a STATS poll landing on loop 0 would
+/// wake it and hide a timer that failed to re-arm.
+TEST(ServeSocketTest, ExecutorSecondsPolicyTruncatesWithoutTraffic) {
+  const std::string dir = ::testing::TempDir() + "manirank_socket_seconds";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ContextManager manager;
+  serve::DurabilityManager durability(dir, &manager);
+  durability.Attach();
+  ServerOptions options;
+  options.durability = &durability;
+  ServeExecutor server(&manager, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client client(server.port());
+  ASSERT_TRUE(client.Send(
+      "CREATE t CYCLIC 6 2 2\nAPPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0\nFLUSH t\n"));
+  // The FLUSH's drain queues a policy pass of its own; arm the policy
+  // only after that round trip, so nothing but the timer can act on it.
+  std::vector<std::string> lines = client.ReadLines(3);
+  ASSERT_TRUE(client.Send("SNAPSHOT-POLICY t SECONDS 0.2\n"));
+  lines.push_back(client.ReadLines(1).at(0));
+  for (const std::string& line : lines) {
+    ASSERT_EQ(line.rfind("OK", 0), 0u) << line;
+  }
+  uint64_t truncations = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (truncations < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    truncations = durability.StatsFor("t")->truncations;
+  }
+  EXPECT_GE(truncations, 2u);
+  // The operator-facing counter says the same.
+  ASSERT_TRUE(client.Send("STATS t\n"));
+  const std::string stats = client.ReadLines(1).at(0);
+  const size_t at = stats.find(" oplog_truncations=");
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_GE(std::strtoull(stats.c_str() + at + 19, nullptr, 10), 2u) << stats;
+  client.HalfClose();
+  client.ReadLinesUntilEof();
   server.Shutdown();
   std::filesystem::remove_all(dir);
 }

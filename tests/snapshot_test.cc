@@ -244,14 +244,12 @@ TEST(SnapshotServingTest, ManagerRoundTripServesBitIdentically) {
   ConsensusOptions options;
   options.delta = 0.2;
   options.time_limit_seconds = 60.0;
-  const std::vector<const MethodSpec*> supported =
-      restarted.SupportedMethods("t");
+  const auto supported = restarted.RunSupported("t", options);
   std::vector<std::string> ids;
-  for (const MethodSpec* m : supported) ids.push_back(m->id);
+  for (const auto& [m, b] : supported) ids.push_back(m->id);
   EXPECT_EQ(ids, (std::vector<std::string>{"A1", "A2", "A3", "A4", "B1"}));
-  for (const MethodSpec* m : supported) {
+  for (const auto& [m, b] : supported) {
     const ConsensusOutput a = manager.Run("t", *m, options);
-    const ConsensusOutput b = restarted.Run("t", *m, options);
     EXPECT_EQ(a.consensus.order(), b.consensus.order()) << m->id;
     EXPECT_EQ(a.satisfied, b.satisfied) << m->id;
   }
@@ -425,12 +423,12 @@ TEST(ExactSnapshotTest, ExactRestoreServesAllMethodsAndRemove) {
   ConsensusOptions options;
   options.delta = 0.2;
   options.time_limit_seconds = 60.0;
-  ASSERT_EQ(restarted.SupportedMethods("t").size(), AllMethods().size());
-  for (const MethodSpec& m : AllMethods()) {
-    const ConsensusOutput a = manager.Run("t", m, options);
-    const ConsensusOutput b = restarted.Run("t", m, options);
-    EXPECT_EQ(a.consensus.order(), b.consensus.order()) << m.id;
-    EXPECT_EQ(a.satisfied, b.satisfied) << m.id;
+  const auto supported = restarted.RunSupported("t", options);
+  ASSERT_EQ(supported.size(), AllMethods().size());
+  for (const auto& [m, b] : supported) {
+    const ConsensusOutput a = manager.Run("t", *m, options);
+    EXPECT_EQ(a.consensus.order(), b.consensus.order()) << m->id;
+    EXPECT_EQ(a.satisfied, b.satisfied) << m->id;
   }
   // REMOVE works on the restored profile — and stays in lockstep with
   // the original.
