@@ -82,6 +82,12 @@ bool QuickMode() {
   return env != nullptr && std::string(env) != "0";
 }
 
+/// Upper median of per-rep figures.
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 struct Workload {
   int tables = 4;
   int n = 60;                 // candidates per table
@@ -408,13 +414,9 @@ SelectCacheBench RunSelectCacheBench(bool quick) {
     speedups[rep] = cached[rep] > 0.0 ? uncached[rep] / cached[rep] : 0.0;
   }
   result.equivalent = true;
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  result.cached_seconds = median(cached);
-  result.uncached_seconds = median(uncached);
-  result.speedup_median = median(speedups);
+  result.cached_seconds = Median(cached);
+  result.uncached_seconds = Median(uncached);
+  result.speedup_median = Median(speedups);
   result.speedup_min = *std::min_element(speedups.begin(), speedups.end());
   result.speedup_max = *std::max_element(speedups.begin(), speedups.end());
 
@@ -777,9 +779,13 @@ OpLogBench RunOpLogBench(bool quick) {
 /// and one event loop so adding a follower adds capacity the way adding
 /// a machine would (not the way adding a thread would). After the
 /// followers converge, the same read-heavy RUN/EVAL request list is
-/// timed twice — every client on the leader, then round-robin across
-/// the followers — and the two response streams are equivalence-checked
-/// request by request. The binary is found next to /proc/self/exe (or
+/// replayed once untimed on each side (warm-up), then timed `reps` times
+/// per side on the same processes — every client on the leader, or
+/// round-robin across the followers — with the sides alternating which
+/// goes first, so host drift lands on both. Each rep's two response
+/// streams are equivalence-checked request by request. The seconds are
+/// per-side medians; the speedups are leader/replicated per rep (median,
+/// min, max). The binary is found next to /proc/self/exe (or
 /// via MANIRANK_SERVE_BIN); when it cannot be found or spawned the
 /// section reports itself skipped instead of failing the bench.
 struct ReplicationBench {
@@ -789,9 +795,12 @@ struct ReplicationBench {
   size_t cores = 0;
   int client_threads = 0;
   long requests = 0;
+  int reps = 0;
   double leader_only_seconds = 0.0;
   double replicated_seconds = 0.0;
-  double speedup = 0.0;
+  double speedup_median = 0.0;
+  double speedup_min = 0.0;
+  double speedup_max = 0.0;
   bool equivalent = false;
 };
 
@@ -1173,33 +1182,61 @@ ReplicationBench RunReplicationBench(bool quick) {
       ++bench.requests;
     }
   }
-  bool leader_ok = false;
-  bool replicated_ok = false;
-  std::vector<std::vector<std::string>> leader_responses;
-  std::vector<std::vector<std::string>> replicated_responses;
   std::vector<int> follower_ports;
   for (const ServeProcess& follower : followers) {
     follower_ports.push_back(follower.port);
   }
-  bench.leader_only_seconds = RunReplicationScenario(
-      plans, {leader.port}, &leader_responses, &leader_ok);
-  bench.replicated_seconds = RunReplicationScenario(
-      plans, follower_ports, &replicated_responses, &replicated_ok);
+  // One rep: both sides, in the given order. False on an I/O failure;
+  // aborts on any leader/follower response drift.
+  const auto run_pair = [&](bool leader_first, double* leader_seconds,
+                            double* replicated_seconds) {
+    bool leader_ok = false;
+    bool replicated_ok = false;
+    std::vector<std::vector<std::string>> leader_responses;
+    std::vector<std::vector<std::string>> replicated_responses;
+    for (int side = 0; side < 2; ++side) {
+      if ((side == 0) == leader_first) {
+        *leader_seconds = RunReplicationScenario(
+            plans, {leader.port}, &leader_responses, &leader_ok);
+      } else {
+        *replicated_seconds = RunReplicationScenario(
+            plans, follower_ports, &replicated_responses, &replicated_ok);
+      }
+    }
+    if (!leader_ok || !replicated_ok) return false;
+    if (leader_responses != replicated_responses) {
+      std::fprintf(stderr,
+                   "FATAL: follower responses drifted from the leader's on "
+                   "the identical read mix\n");
+      std::abort();
+    }
+    return true;
+  };
+  bench.reps = 5;
+  std::vector<double> leader_seconds(bench.reps);
+  std::vector<double> replicated_seconds(bench.reps);
+  std::vector<double> speedups(bench.reps);
+  double warm_leader = 0.0;
+  double warm_replicated = 0.0;
+  bool io_ok = run_pair(true, &warm_leader, &warm_replicated);
+  for (int rep = 0; io_ok && rep < bench.reps; ++rep) {
+    io_ok = run_pair(rep % 2 == 0, &leader_seconds[rep],
+                     &replicated_seconds[rep]);
+    speedups[rep] = replicated_seconds[rep] > 0.0
+                        ? leader_seconds[rep] / replicated_seconds[rep]
+                        : 0.0;
+  }
   cleanup();
-  if (!leader_ok || !replicated_ok) {
+  if (!io_ok) {
     bench.skip_reason = "a timed scenario hit an I/O failure";
     return bench;
   }
-  bench.equivalent = leader_responses == replicated_responses;
-  if (!bench.equivalent) {
-    std::fprintf(stderr,
-                 "FATAL: follower responses drifted from the leader's on "
-                 "the identical read mix\n");
-    std::abort();
-  }
-  bench.speedup = bench.replicated_seconds > 0.0
-                      ? bench.leader_only_seconds / bench.replicated_seconds
-                      : 0.0;
+  bench.equivalent = true;
+  bench.leader_only_seconds = Median(leader_seconds);
+  bench.replicated_seconds = Median(replicated_seconds);
+  bench.speedup_median = Median(speedups);
+  bench.speedup_min = *std::min_element(speedups.begin(), speedups.end());
+  bench.speedup_max = *std::max_element(speedups.begin(), speedups.end());
   bench.skipped = false;
   return bench;
 }
@@ -1290,12 +1327,16 @@ int main() {
     std::fprintf(
         f,
         "  \"replication\": {\"skipped\": false, \"followers\": %d, "
-        "\"cores\": %zu, \"client_threads\": %d, \"requests\": %ld,\n"
+        "\"cores\": %zu, \"client_threads\": %d, \"requests\": %ld, "
+        "\"reps\": %d,\n"
         "    \"leader_only_seconds\": %.6f, \"replicated_seconds\": %.6f, "
         "\"leader_only_rps\": %.1f, \"replicated_rps\": %.1f,\n"
-        "    \"speedup_replicated_vs_leader\": %.3f, \"equivalent\": %s},\n",
+        "    \"speedup_replicated_vs_leader_median\": %.3f, "
+        "\"speedup_replicated_vs_leader_min\": %.3f, "
+        "\"speedup_replicated_vs_leader_max\": %.3f, \"equivalent\": %s},\n",
         replication.followers, replication.cores, replication.client_threads,
-        replication.requests, replication.leader_only_seconds,
+        replication.requests, replication.reps,
+        replication.leader_only_seconds,
         replication.replicated_seconds,
         replication.leader_only_seconds > 0.0
             ? replication.requests / replication.leader_only_seconds
@@ -1303,7 +1344,8 @@ int main() {
         replication.replicated_seconds > 0.0
             ? replication.requests / replication.replicated_seconds
             : 0.0,
-        replication.speedup, replication.equivalent ? "true" : "false");
+        replication.speedup_median, replication.speedup_min,
+        replication.speedup_max, replication.equivalent ? "true" : "false");
   }
 #endif
   std::fprintf(f,
@@ -1356,11 +1398,13 @@ int main() {
                 replication.skip_reason.c_str());
   } else {
     std::printf(
-        "replication (1 leader vs %d followers, %ld reads, %zu cores): "
-        "leader-only %.4fs vs replicated %.4fs -> %.2fx, equivalent\n",
+        "replication (1 leader vs %d followers, %ld reads, %zu cores, %d "
+        "reps): leader-only %.4fs vs replicated %.4fs -> median %.2fx "
+        "(min %.2fx, max %.2fx), equivalent\n",
         replication.followers, replication.requests, replication.cores,
-        replication.leader_only_seconds, replication.replicated_seconds,
-        replication.speedup);
+        replication.reps, replication.leader_only_seconds,
+        replication.replicated_seconds, replication.speedup_median,
+        replication.speedup_min, replication.speedup_max);
   }
 #endif
   std::printf("select_cache (n=%d, %d rankings, %ld req, %d reps): cached "

@@ -2,7 +2,6 @@
 #define MANIRANK_CORE_GATE_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <thread>
 
@@ -43,10 +42,6 @@ class ContextGate {
 
   /// Writer side. Blocks until all readers drain; re-entrant per thread.
   void LockExclusive();
-  /// Non-blocking writer acquire: returns false when readers are in
-  /// flight or another thread holds the exclusive side. Still re-entrant
-  /// for the current exclusive owner.
-  bool TryLockExclusive();
   void UnlockExclusive();
 
   /// True iff the calling thread currently holds the exclusive side.
@@ -54,8 +49,6 @@ class ContextGate {
 
   /// Diagnostics (racy snapshots; exact only when externally quiesced).
   int readers_in_flight() const;
-  uint64_t shared_acquires() const;
-  uint64_t exclusive_acquires() const;
 
  private:
   mutable std::mutex mu_;
@@ -64,8 +57,6 @@ class ContextGate {
   int writers_waiting_ = 0;
   int exclusive_depth_ = 0;
   std::thread::id exclusive_owner_;
-  uint64_t shared_acquires_ = 0;
-  uint64_t exclusive_acquires_ = 0;
 };
 
 }  // namespace manirank

@@ -1,10 +1,12 @@
 #include "data/durable_file.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -69,6 +71,31 @@ uint64_t Fnv1a64(const char* data, size_t size) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::string ReadWholeFile(const std::string& path, const std::string& what) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) throw std::runtime_error("cannot open " + what + ": " + path);
+  const std::streamoff size = is.tellg();
+  is.seekg(0);
+  std::string out(static_cast<size_t>(std::max<std::streamoff>(0, size)),
+                  '\0');
+  is.read(out.data(), static_cast<std::streamsize>(out.size()));
+  if (is.gcount() != static_cast<std::streamsize>(out.size())) {
+    throw std::runtime_error("short read " + what + ": " + path);
+  }
+  return out;
+}
+
+std::string ReadFileRange(const std::string& path, uint64_t offset,
+                          size_t want, const std::string& what) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot open " + what + ": " + path);
+  is.seekg(static_cast<std::streamoff>(offset));
+  std::string out(want, '\0');
+  is.read(out.data(), static_cast<std::streamsize>(want));
+  out.resize(static_cast<size_t>(std::max<std::streamsize>(0, is.gcount())));
+  return out;
 }
 
 std::string NextDurableTempPath(const std::string& path) {

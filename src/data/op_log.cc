@@ -25,34 +25,6 @@ constexpr uint32_t kMaxRecordBodyBytes = 1u << 30;
 /// Mirrors the snapshot reader's table cap (snapshot.cc kMaxCandidates).
 constexpr uint32_t kMaxOpLogCandidates = 1u << 20;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-uint32_t GetU32(const char* data) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* data) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[i])) << (8 * i);
-  }
-  return v;
-}
-
 std::string EncodeHeader(int num_candidates, uint64_t base_generation,
                          uint64_t base_rankings) {
   std::string header(kOpLogMagic, sizeof(kOpLogMagic));
@@ -167,27 +139,10 @@ OpLogContents ParseOpLog(const std::string& buffer, const std::string& path) {
   return contents;
 }
 
-std::string SlurpFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot open op log: " + path);
-  }
-  std::string buffer;
-  char chunk[1 << 16];
-  for (;;) {
-    is.read(chunk, sizeof(chunk));
-    const std::streamsize got = is.gcount();
-    if (got <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(got));
-    if (!is) break;
-  }
-  return buffer;
-}
-
 }  // namespace
 
 OpLogContents ReadOpLogFile(const std::string& path) {
-  return ParseOpLog(SlurpFile(path), path);
+  return ParseOpLog(ReadWholeFile(path, "op log"), path);
 }
 
 OpLogCursor::OpLogCursor(std::string path) : path_(std::move(path)) {}

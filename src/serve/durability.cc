@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -76,37 +75,6 @@ DirScan ScanDurableDir(const std::string& dir,
     throw std::runtime_error("cannot list " + dir + ": " + e.what());
   }
   return scan;
-}
-
-/// Reads bytes [offset, offset + want) of `path`. Short results are
-/// returned as-is — the caller re-validates the chain and decides.
-std::string ReadFileRange(const std::string& path, uint64_t offset,
-                          size_t want) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot open for replication: " + path);
-  }
-  is.seekg(static_cast<std::streamoff>(offset));
-  std::string out(want, '\0');
-  is.read(out.data(), static_cast<std::streamsize>(want));
-  out.resize(static_cast<size_t>(std::max<std::streamsize>(0, is.gcount())));
-  return out;
-}
-
-std::string SlurpWholeFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) {
-    throw std::runtime_error("cannot open for replication: " + path);
-  }
-  const std::streamoff size = is.tellg();
-  is.seekg(0);
-  std::string out(static_cast<size_t>(std::max<std::streamoff>(0, size)),
-                  '\0');
-  is.read(out.data(), static_cast<std::streamsize>(out.size()));
-  if (is.gcount() != static_cast<std::streamsize>(out.size())) {
-    throw std::runtime_error("short read for replication: " + path);
-  }
-  return out;
 }
 
 }  // namespace
@@ -520,8 +488,10 @@ DurabilityManager::ReplicationHandshake DurabilityManager::TakeHandshake(
     // the fold path's CommitFold; consistency comes from re-validating
     // the chain below (WriteFileDurably replaces files by rename, so a
     // racing truncation gives us the NEW files — detectably).
-    hs.snapshot_bytes = SlurpWholeFile(SnapshotPathFor(table));
-    hs.log_bytes = ReadFileRange(LogPathFor(table), 0, committed);
+    hs.snapshot_bytes =
+        ReadWholeFile(SnapshotPathFor(table), "for replication");
+    hs.log_bytes =
+        ReadFileRange(LogPathFor(table), 0, committed, "for replication");
     hs.chain = chain;
     hs.committed_bytes = committed;
     bool consistent = hs.log_bytes.size() == committed;
@@ -558,7 +528,7 @@ DurabilityManager::ReplicationPoll DurabilityManager::PollReplication(
       static_cast<size_t>(std::min<uint64_t>(max_bytes, committed - *offset));
   std::string chunk;
   try {
-    chunk = ReadFileRange(LogPathFor(table), *offset, want);
+    chunk = ReadFileRange(LogPathFor(table), *offset, want, "for replication");
   } catch (const std::exception&) {
     return ReplicationPoll::kRotated;  // file replaced/unreadable mid-poll
   }

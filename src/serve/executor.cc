@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -32,18 +31,12 @@ namespace {
 /// loop's other connections; anything bigger goes to the workers.
 constexpr size_t kInlineMaxLineBytes = 4096;
 
-/// WFQ billing: one draining verb (RUN/FLUSH — seconds of gate-holding
-/// work) costs this many virtual slots, a light verb costs one. A hot
-/// table's parked-then-released drain backlog therefore advances its
-/// lane's virtual finish time 8x faster than a light table's STATS
-/// stream, and the light request sorts ahead of the backlog.
-constexpr uint64_t kDrainWeight = 8;
-
-/// Middle WFQ tier for the compute verbs (EVAL / SELECT): read-only —
-/// they never hold the exclusive gate — but they run a consensus method
-/// (or an ILP fallback) on a cold result cache, so they are billed
-/// heavier than STATS/APPEND yet lighter than a drain.
-constexpr uint64_t kComputeWeight = 4;
+/// Bytes of parsed-but-unexecuted request lines per connection before
+/// the reader stops polling it — without this a client could pipeline
+/// 64 nearly-16 MiB APPENDs and pin ~1 GiB per connection. Admits two
+/// maximum-size lines; one over-cap line is always admitted (soft cap),
+/// so a single kMaxRequestBytes request still works.
+constexpr size_t kMaxBufferedRequestBytes = 32u << 20;
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -109,52 +102,24 @@ int OpenListener(int port, bool reuseport, int* bound_port,
 /// read on the loop thread and the response-buffer growth per stream.
 constexpr size_t kReplPumpBytes = 256u << 10;
 
-/// Ready-heap order: std::push_heap/pop_heap keep the smallest
-/// (vstart, arrival) entry at the front.
-template <typename Entry>
-bool ReadyLater(const Entry& a, const Entry& b) {
-  return a.vstart > b.vstart ||
-         (a.vstart == b.vstart && a.arrival > b.arrival);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ServeExecutor
 // ---------------------------------------------------------------------------
 
-/// One queued request: scheduling metadata plus the intra-connection
-/// dependency edges that serialize same-table and barrier requests.
-/// Owned by live_nodes_; destroyed in CompleteLocked.
-struct ServeExecutor::Request {
-  std::shared_ptr<Conn> conn;
-  uint64_t seq = 0;
-  /// Global arrival stamp: FIFO tie-break within one WFQ virtual slot.
-  uint64_t arrival = 0;
-  std::string line;
-  std::string table;
-  bool barrier = false;
-  bool draining = false;
-  /// Compute verb (EVAL / SELECT): excluded from the inline fast path
-  /// (a cold-cache consensus run on the loop thread would stall every
-  /// connection of the loop) and billed kComputeWeight in the WFQ.
-  bool compute = false;
-  /// Non-empty: respond with this without executing (oversize ERR).
-  std::string synthetic_response;
-  /// Unfinished predecessors; dispatched when this reaches zero.
-  size_t deps = 0;
-  std::vector<Request*> dependents;
-};
-
-struct ServeExecutor::Conn {
-  Conn(int fd, ContextManager* manager) : fd(fd), dispatcher(manager) {}
+/// One connection. Its RequestScheduler::Connection base is the
+/// per-connection ordering state, guarded by sched_mu_.
+struct ServeExecutor::Conn : RequestScheduler::Connection {
+  Conn(int fd, IoLoop* loop, ContextManager* manager)
+      : fd(fd), loop(loop), dispatcher(manager) {}
 
   /// Mutated only by the owning loop thread, and only under write_mu
   /// (FlushConn reads it under write_mu from any thread).
   int fd;
-  /// The event loop this connection is pinned to for life. Set once at
-  /// accept, read by completion-side code to route notifications.
-  IoLoop* loop = nullptr;
+  /// The event loop this connection is pinned to for life; read by
+  /// completion-side code to route notifications.
+  IoLoop* const loop;
   /// Stateless over the shared manager, so concurrent requests of one
   /// connection may execute on different workers simultaneously.
   Dispatcher dispatcher;
@@ -201,18 +166,6 @@ struct ServeExecutor::Conn {
 
   // --- guarded by sched_mu_ ---
   std::unique_ptr<Repl> repl;
-  uint64_t next_seq = 0;   // next request sequence number to assign
-  uint64_t next_send = 0;  // next sequence number to sequence to the wire
-  /// Bytes of parsed request lines not yet executed (the request-side
-  /// backpressure budget).
-  size_t queued_line_bytes = 0;
-  /// Finished responses waiting for an earlier sequence number.
-  std::map<uint64_t, std::string> finished_out_of_order;
-  /// Every unfinished request of this connection (barrier dependencies).
-  std::vector<Request*> unfinished;
-  /// Last unfinished request per table — the tail of each serial chain.
-  std::unordered_map<std::string, Request*> last_by_table;
-  Request* last_barrier = nullptr;
   /// Sequenced response bytes not yet handed to the sender (stage one of
   /// the two-buffer flush; stage two is `sending` under write_mu).
   std::string pending_out;
@@ -256,10 +209,6 @@ struct ServeExecutor::IoLoop {
   std::map<int, std::shared_ptr<Conn>> conns;
   /// Connections queued for a service pass (deduped via Conn::in_service).
   std::vector<std::shared_ptr<Conn>> pending;
-  /// Replication streams pinned to this loop. Each iteration queues them
-  /// for service (bounded 200 ms poll tick: catches chain rotations and
-  /// missed pushes) and prunes closed entries.
-  std::vector<std::shared_ptr<Conn>> repl_streams;
   bool accept_ready = false;
   std::chrono::steady_clock::time_point accept_backoff_until{};
 
@@ -267,7 +216,8 @@ struct ServeExecutor::IoLoop {
   /// Connections with completion-side news for this loop; ground truth
   /// for cross-thread wakeups (the wake pipe is only the doorbell).
   std::vector<std::shared_ptr<Conn>> notify;
-  struct Shadow {
+  /// What METRICS reports for this loop.
+  struct Counters {
     uint64_t accepted = 0;
     uint64_t served = 0;
     uint64_t inline_served = 0;
@@ -279,65 +229,7 @@ struct ServeExecutor::IoLoop {
     uint64_t repl_sessions = 0;  ///< REPLICATE streams accepted
     uint64_t repl_bytes = 0;     ///< handshake + streamed log bytes
   };
-  /// Write-side counter state; every mutation happens under sched_mu_
-  /// and is followed by PublishLocked().
-  Shadow shadow;
-
-  // --- seqlock-published mirror (lock-free readers) ---
-  std::atomic<uint64_t> counter_seq{0};
-  std::atomic<uint64_t> pub_accepted{0};
-  std::atomic<uint64_t> pub_served{0};
-  std::atomic<uint64_t> pub_inline{0};
-  std::atomic<uint64_t> pub_bytes_in{0};
-  std::atomic<uint64_t> pub_bytes_out{0};
-  std::atomic<uint64_t> pub_stalls{0};
-  std::atomic<uint64_t> pub_parked{0};
-  std::atomic<uint64_t> pub_emfile{0};
-  std::atomic<uint64_t> pub_repl_sessions{0};
-  std::atomic<uint64_t> pub_repl_bytes{0};
-
-  /// sched_mu_ held (serializes writers — the seqlock protects readers
-  /// only). Same idiom as the engine's ProfileCounters: odd seq marks
-  /// the write window, fences order the field stores against it.
-  void PublishLocked() {
-    counter_seq.store(counter_seq.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    pub_accepted.store(shadow.accepted, std::memory_order_relaxed);
-    pub_served.store(shadow.served, std::memory_order_relaxed);
-    pub_inline.store(shadow.inline_served, std::memory_order_relaxed);
-    pub_bytes_in.store(shadow.bytes_in, std::memory_order_relaxed);
-    pub_bytes_out.store(shadow.bytes_out, std::memory_order_relaxed);
-    pub_stalls.store(shadow.backpressure_stalls, std::memory_order_relaxed);
-    pub_parked.store(shadow.parked_drains, std::memory_order_relaxed);
-    pub_emfile.store(shadow.emfile_rejected, std::memory_order_relaxed);
-    pub_repl_sessions.store(shadow.repl_sessions, std::memory_order_relaxed);
-    pub_repl_bytes.store(shadow.repl_bytes, std::memory_order_relaxed);
-    counter_seq.store(counter_seq.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_release);
-  }
-
-  /// Any thread, lock-free: retries until it observes a quiescent
-  /// (even, unchanged) sequence around the field reads.
-  Shadow ReadCounters() const {
-    for (;;) {
-      const uint64_t begin = counter_seq.load(std::memory_order_acquire);
-      if ((begin & 1) != 0) continue;
-      Shadow snap;
-      snap.accepted = pub_accepted.load(std::memory_order_relaxed);
-      snap.served = pub_served.load(std::memory_order_relaxed);
-      snap.inline_served = pub_inline.load(std::memory_order_relaxed);
-      snap.bytes_in = pub_bytes_in.load(std::memory_order_relaxed);
-      snap.bytes_out = pub_bytes_out.load(std::memory_order_relaxed);
-      snap.backpressure_stalls = pub_stalls.load(std::memory_order_relaxed);
-      snap.parked_drains = pub_parked.load(std::memory_order_relaxed);
-      snap.emfile_rejected = pub_emfile.load(std::memory_order_relaxed);
-      snap.repl_sessions = pub_repl_sessions.load(std::memory_order_relaxed);
-      snap.repl_bytes = pub_repl_bytes.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (counter_seq.load(std::memory_order_relaxed) == begin) return snap;
-    }
-  }
+  Counters counters;
 };
 
 ServeExecutor::ServeExecutor(ContextManager* manager, ServerOptions options)
@@ -354,7 +246,10 @@ ServeExecutor::ServeExecutor(ContextManager* manager, ServerOptions options)
 ServeExecutor::~ServeExecutor() { Shutdown(); }
 
 uint64_t ServeExecutor::requests_served() const {
-  return requests_served_.load();
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  uint64_t served = 0;
+  for (const auto& loop : loops_) served += loop->counters.served;
+  return served;
 }
 
 bool ServeExecutor::Start(std::string* error) {
@@ -465,11 +360,7 @@ void ServeExecutor::Shutdown() {
   policy_eval_scheduled_.store(false);
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    parked_.clear();
-    ready_.clear();
-    live_nodes_.clear();
-    table_vfinish_.clear();
-    virtual_time_ = 0;
+    sched_ = RequestScheduler();
     repl_conns_.clear();
     for (auto& loop : loops_) loop->notify.clear();
   }
@@ -501,11 +392,19 @@ void ServeExecutor::WakeLoop(IoLoop& loop) {
   [[maybe_unused]] const ssize_t w = ::write(loop.wake_fds[1], &byte, 1);
 }
 
+void ServeExecutor::QueueService(IoLoop& loop,
+                                 const std::shared_ptr<Conn>& conn) {
+  if (conn->in_service) return;
+  conn->in_service = true;
+  loop.pending.push_back(conn);
+}
+
 void ServeExecutor::LoopMain(IoLoop& loop) {
   std::vector<PolledEvent> events;
   std::vector<std::shared_ptr<Conn>> work;
   for (;;) {
     const bool stopping = stopping_.load();
+    bool has_streams = false;
     if (stopping && loop.listener >= 0) {
       loop.poller.Remove(loop.listener);
       ::close(loop.listener);
@@ -520,45 +419,27 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
         // wins); they execute, at worst briefly blocking on a finishing
         // fold, and their clients still get responses before half-close.
         parked_flushed_ = true;
-        for (auto& [table, nodes] : parked_) {
-          for (Request* node : nodes) EnqueueReadyLocked(node);
+        for (size_t n = sched_.ReleaseAll(); n > 0; --n) {
+          ready_cv_.notify_one();
         }
-        parked_.clear();
       }
       for (const std::shared_ptr<Conn>& conn : loop.notify) {
         conn->notified = false;
-        if (!conn->in_service) {
-          conn->in_service = true;
-          loop.pending.push_back(conn);
-        }
+        QueueService(loop, conn);
       }
       loop.notify.clear();
+      // Pump every live replication stream of this loop each pass (the
+      // 200 ms poll tick below caps the latency between passes).
+      for (const auto& [raw, conn] : repl_conns_) {
+        if (conn->loop != &loop) continue;
+        has_streams = true;
+        QueueService(loop, conn);
+      }
     }
     if (stopping) {
       // Tick every connection so shutdown transitions and linger
       // deadlines advance even without fd events.
-      for (auto& [fd, conn] : loop.conns) {
-        if (!conn->in_service) {
-          conn->in_service = true;
-          loop.pending.push_back(conn);
-        }
-      }
-    }
-    if (!loop.repl_streams.empty()) {
-      // Pump every live replication stream this pass (the 200 ms poll
-      // tick below caps the latency between passes); prune closed ones.
-      loop.repl_streams.erase(
-          std::remove_if(loop.repl_streams.begin(), loop.repl_streams.end(),
-                         [](const std::shared_ptr<Conn>& conn) {
-                           return conn->fd < 0;
-                         }),
-          loop.repl_streams.end());
-      for (const std::shared_ptr<Conn>& conn : loop.repl_streams) {
-        if (!conn->in_service) {
-          conn->in_service = true;
-          loop.pending.push_back(conn);
-        }
-      }
+      for (auto& [fd, conn] : loop.conns) QueueService(loop, conn);
     }
     work.clear();
     work.swap(loop.pending);
@@ -578,7 +459,7 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
       timeout_ms = 100;  // tick linger deadlines
     } else if (loop.accept_ready) {
       timeout_ms = 50;  // resume accepting after the backoff expires
-    } else if (!loop.repl_streams.empty()) {
+    } else if (has_streams) {
       // Replication poll tick: bounds the latency of rotation detection
       // and of any pump notification lost to a race. The drain observer
       // is the fast path; this is the backstop.
@@ -626,29 +507,15 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
       const std::shared_ptr<Conn>& conn = it->second;
       if (event.readable || event.error) conn->read_ready = true;
       if (event.error) conn->saw_error = true;
-      if (!conn->in_service) {
-        conn->in_service = true;
-        loop.pending.push_back(conn);
-      }
+      QueueService(loop, conn);
     }
   }
   // Defensive teardown for the poller-failure exit: Shutdown's cleanup
   // assumes the loop closed everything it owned.
-  for (auto& [fd, conn] : loop.conns) {
-    loop.poller.Remove(fd);
-    {
-      std::lock_guard<std::mutex> wlock(conn->write_mu);
-      ::close(fd);
-      conn->fd = -1;
-      conn->sending.clear();
-      conn->send_offset = 0;
-    }
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    conn->dead = true;
-    conn->pending_out.clear();
-    conn->unsent_bytes = 0;
+  while (!loop.conns.empty()) {
+    const std::shared_ptr<Conn> conn = loop.conns.begin()->second;
+    CloseConn(loop, conn);
   }
-  loop.conns.clear();
   if (loop.listener >= 0) {
     ::close(loop.listener);
     loop.listener = -1;
@@ -686,8 +553,7 @@ void ServeExecutor::AcceptReady(IoLoop& loop) {
       continue;
     }
     SetNoDelay(fd);
-    auto conn = std::make_shared<Conn>(fd, manager_);
-    conn->loop = &loop;
+    auto conn = std::make_shared<Conn>(fd, &loop, manager_);
     conn->dispatcher.set_metrics_provider([this] { return MetricsResponse(); });
     // The executor drives RunDuePolicies from loop 0's poll timeout and
     // the drain observer — never inline on a loop thread.
@@ -700,12 +566,10 @@ void ServeExecutor::AcceptReady(IoLoop& loop) {
     }
     // Data may have raced the registration; force one read attempt.
     conn->read_ready = true;
-    conn->in_service = true;
     loop.conns.emplace(fd, conn);
-    loop.pending.push_back(std::move(conn));
+    QueueService(loop, conn);
     std::lock_guard<std::mutex> lock(sched_mu_);
-    ++loop.shadow.accepted;
-    loop.PublishLocked();
+    ++loop.counters.accepted;
   }
 }
 
@@ -733,8 +597,7 @@ bool ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
     }
     ::close(fd);
     std::lock_guard<std::mutex> lock(sched_mu_);
-    ++loop.shadow.emfile_rejected;
-    loop.PublishLocked();
+    ++loop.counters.emfile_rejected;
   } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
     // Even the emergency slot did not cover it (another thread won the
     // fd); fall back to a timed retry.
@@ -750,24 +613,19 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
                                 const std::shared_ptr<Conn>& conn) {
   if (conn->fd < 0) return;  // closed earlier in this service batch
   const bool stopping = stopping_.load();
-  const auto requeue = [&] {
-    if (!conn->in_service) {
-      conn->in_service = true;
-      loop.pending.push_back(conn);
-    }
-  };
-  const auto can_read_locked = [&] {
-    return conn->next_seq - conn->next_send <
-               options_.max_inflight_per_connection &&
-           conn->unsent_bytes <= options_.max_buffered_response_bytes &&
-           conn->queued_line_bytes <= options_.max_buffered_request_bytes;
+  // Counts transitions into the stalled state, not service passes.
+  const auto note_stall = [&] {
+    if (conn->stalled) return;
+    conn->stalled = true;
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    ++loop.counters.backpressure_stalls;
   };
   bool dead;
   bool can_read;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     dead = conn->dead;
-    can_read = can_read_locked();
+    can_read = CanReadLocked(*conn);
   }
   if (dead) {
     CloseConn(loop, conn);
@@ -802,12 +660,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
     // EOF/ECONNRESET and retires the connection now rather than after
     // the budget recovers.
     if (!can_read && !conn->saw_error) {
-      if (!conn->stalled) {
-        conn->stalled = true;
-        std::lock_guard<std::mutex> lock(sched_mu_);
-        ++loop.shadow.backpressure_stalls;
-        loop.PublishLocked();
-      }
+      note_stall();
     } else {
       conn->stalled = false;
       conn->saw_error = false;
@@ -818,15 +671,11 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
           conn->read_ready = false;
           break;
         case ReadStatus::kBudget:
-          requeue();  // fair round-robin: let other connections run
+          // Fair round-robin: let other connections run.
+          QueueService(loop, conn);
           break;
         case ReadStatus::kBackpressured:
-          if (!conn->stalled) {
-            conn->stalled = true;
-            std::lock_guard<std::mutex> lock(sched_mu_);
-            ++loop.shadow.backpressure_stalls;
-            loop.PublishLocked();
-          }
+          note_stall();
           break;
         case ReadStatus::kEof:
           break;
@@ -859,13 +708,12 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     now_dead = conn->dead;
-    now_can_read = can_read_locked();
+    now_can_read = CanReadLocked(*conn);
     unsent = conn->unsent_bytes;
     // A replication stream keeps the connection open indefinitely — it
     // must never take the all-flushed half-close path below.
-    all_executed = !conn->scheduling_reads && conn->unfinished.empty() &&
-                   conn->finished_out_of_order.empty() &&
-                   conn->repl == nullptr;
+    all_executed =
+        !conn->scheduling_reads && conn->idle() && conn->repl == nullptr;
   }
   if (now_dead) {
     CloseConn(loop, conn);
@@ -886,7 +734,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       ::shutdown(conn->fd, SHUT_WR);
       conn->discarding = true;
       conn->read_ready = true;  // force one drain pass
-      requeue();
+      QueueService(loop, conn);
     } else if (conn->saw_error && !conn->scheduling_reads) {
       // Peer hangup while not reading: the remaining responses are
       // undeliverable; close now.
@@ -898,7 +746,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       // typical case: our own flush just restored the response budget
       // while the client sits blocked in send(), producing no new
       // edges). A stale latch costs one EAGAIN read, which clears it.
-      requeue();
+      QueueService(loop, conn);
     }
   }
   if (stopping) {
@@ -946,7 +794,18 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
       buffer.append(chunk, static_cast<size_t>(got));
       if (buffer.size() > kMaxRequestBytes &&
           buffer.find('\n', scan_from) == std::string::npos) {
-        ScheduleOversize(conn);
+        // Once this ERR flushes (after every pipelined predecessor), the
+        // loop half-closes and drains — the client reliably receives it
+        // rather than a reset.
+        conn->scheduling_reads = false;
+        conn->read_ready = false;
+        buffer.clear();
+        buffer.shrink_to_fit();
+        RequestClass oversize;
+        oversize.barrier = true;
+        std::lock_guard<std::mutex> lock(sched_mu_);
+        AdmitLocked(conn, std::move(oversize), std::string(),
+                    "ERR bad-request: request line exceeds 16 MiB");
         return ReadStatus::kEof;
       }
       size_t start = 0;
@@ -963,8 +822,7 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
           // verb, so any residual bytes are protocol garbage — drop them.
           conn->in_buffer.clear();
           std::lock_guard<std::mutex> lock(sched_mu_);
-          loop.shadow.bytes_in += static_cast<uint64_t>(got);
-          loop.PublishLocked();
+          loop.counters.bytes_in += static_cast<uint64_t>(got);
           return ReadStatus::kEof;
         }
       }
@@ -974,12 +832,8 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
         // Soft backpressure check between chunks: everything already
         // read is scheduled, but stop pulling more once over budget.
         std::lock_guard<std::mutex> lock(sched_mu_);
-        loop.shadow.bytes_in += static_cast<uint64_t>(got);
-        loop.PublishLocked();
-        over = conn->next_seq - conn->next_send >=
-                   options_.max_inflight_per_connection ||
-               conn->unsent_bytes > options_.max_buffered_response_bytes ||
-               conn->queued_line_bytes > options_.max_buffered_request_bytes;
+        loop.counters.bytes_in += static_cast<uint64_t>(got);
+        over = !CanReadLocked(*conn);
       }
       if (over) return ReadStatus::kBackpressured;
     } else if (got == 0) {
@@ -1003,6 +857,12 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
       return ReadStatus::kAborted;
     }
   }
+}
+
+bool ServeExecutor::CanReadLocked(const Conn& conn) const {
+  return conn.in_flight() < options_.max_inflight_per_connection &&
+         conn.unsent_bytes <= options_.max_buffered_response_bytes &&
+         conn.queued_line_bytes <= kMaxBufferedRequestBytes;
 }
 
 ServeExecutor::Request* ServeExecutor::ScheduleLine(
@@ -1030,14 +890,11 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
         conn->repl = std::make_unique<Conn::Repl>();
         conn->repl->table = table;
         repl_conns_.emplace(conn.get(), conn);
-        if (conn->loop != nullptr) conn->loop->repl_streams.push_back(conn);
+        ++conn->loop->counters.repl_sessions;
         // The worker cannot observe a half-built stream: StartReplication
         // takes sched_mu_ (held here) before reading the Repl state.
-        EnqueueJobLocked([this, conn] { StartReplication(conn); });
-        if (conn->loop != nullptr) {
-          ++conn->loop->shadow.repl_sessions;
-          conn->loop->PublishLocked();
-        }
+        sched_.EnqueueJob([this, conn] { StartReplication(conn); });
+        ready_cv_.notify_one();
         return nullptr;
       }
       // Pipelined predecessors would interleave their responses into the
@@ -1047,79 +904,27 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
           "its connection";
     }
   }
-  auto owned = std::make_unique<Request>();
-  Request* node = owned.get();
-  node->conn = conn;
-  node->seq = conn->next_seq++;
-  node->arrival = next_arrival_++;
-  node->line = std::move(line);
-  conn->queued_line_bytes += node->line.size();
-  node->table = std::move(cls.table);
-  node->barrier = cls.barrier;
-  node->draining = cls.draining;
-  node->compute = cls.compute;
-  node->synthetic_response = std::move(synthetic);
-  live_nodes_.emplace(node, std::move(owned));
-  const auto depend_on = [node](Request* pred) {
-    if (pred != nullptr) {
-      pred->dependents.push_back(node);
-      ++node->deps;
-    }
-  };
-  if (node->barrier) {
-    // Orders against everything in flight on this connection, and
-    // (via last_barrier) everything that arrives later.
-    for (Request* pred : conn->unfinished) depend_on(pred);
-    conn->last_barrier = node;
-  } else {
-    // Same-table requests form a serial chain (arrival order); the
-    // barrier edge keeps namespace verbs totally ordered around them.
-    // The two predecessors are necessarily distinct nodes: a barrier is
-    // never registered in last_by_table.
-    const auto it = conn->last_by_table.find(node->table);
-    depend_on(it != conn->last_by_table.end() ? it->second : nullptr);
-    depend_on(conn->last_barrier);
-    conn->last_by_table[node->table] = node;
-  }
-  conn->unfinished.push_back(node);
-  if (node->deps == 0) {
-    if (!node->barrier && !node->draining && !node->compute &&
-        !stopping_.load() && node->line.size() <= kInlineMaxLineBytes) {
-      // Loop-thread fast path: a small dependency-free non-draining
-      // per-table verb (STATS, small APPEND, REMOVE — all non-blocking
-      // on the gate) executes where it was parsed, skipping the worker
-      // handoff and its wakeups. The caller executes the returned node.
-      return node;
-    }
-    DispatchLocked(node);
-  }
-  return nullptr;
+  return AdmitLocked(conn, std::move(cls), std::move(line),
+                     std::move(synthetic));
 }
 
-void ServeExecutor::ScheduleOversize(const std::shared_ptr<Conn>& conn) {
-  conn->scheduling_reads = false;
-  conn->read_ready = false;
-  conn->in_buffer.clear();
-  conn->in_buffer.shrink_to_fit();
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  auto owned = std::make_unique<Request>();
-  Request* node = owned.get();
-  node->conn = conn;
-  node->seq = conn->next_seq++;
-  node->arrival = next_arrival_++;
-  node->barrier = true;
-  node->synthetic_response = "ERR bad-request: request line exceeds 16 MiB";
-  live_nodes_.emplace(node, std::move(owned));
-  for (Request* pred : conn->unfinished) {
-    pred->dependents.push_back(node);
-    ++node->deps;
+ServeExecutor::Request* ServeExecutor::AdmitLocked(
+    const std::shared_ptr<Conn>& conn, RequestClass cls, std::string line,
+    std::string synthetic) {
+  Request* node =
+      sched_.Admit(conn, std::move(cls), std::move(line), std::move(synthetic));
+  if (node->deps != 0) return nullptr;  // a predecessor's Complete frees it
+  if (!node->barrier && !node->draining && !node->compute &&
+      !stopping_.load() && node->line.size() <= kInlineMaxLineBytes) {
+    // Loop-thread fast path: a small dependency-free non-draining
+    // per-table verb (STATS, small APPEND, REMOVE — all non-blocking on
+    // the gate) executes where it was parsed, skipping the worker handoff
+    // and its wakeups. The caller executes the returned node. (Synthetic
+    // answers are barriers, so they never take it.)
+    return node;
   }
-  conn->last_barrier = node;
-  conn->unfinished.push_back(node);
-  // Once this response flushes (after every pipelined predecessor), the
-  // loop half-closes and drains — the client reliably receives the ERR
-  // rather than a reset.
-  if (node->deps == 0) DispatchLocked(node);
+  DispatchLocked(node);
+  return nullptr;
 }
 
 void ServeExecutor::DispatchLocked(Request* node) {
@@ -1135,64 +940,23 @@ void ServeExecutor::DispatchLocked(Request* node) {
     // No lost wakeup: the manager clears its draining flag before the
     // observer fires, and the observer takes sched_mu_, so it cannot
     // run between our check and this insertion.
-    parked_[node->table].push_back(node);
-    if (node->conn->loop != nullptr) {
-      ++node->conn->loop->shadow.parked_drains;
-      node->conn->loop->PublishLocked();
-    }
+    sched_.Park(node);
+    ++static_cast<Conn&>(*node->conn).loop->counters.parked_drains;
     return;
   }
-  EnqueueReadyLocked(node);
-}
-
-void ServeExecutor::EnqueueReadyLocked(Request* node) {
-  // Weighted fair queuing over per-table lanes ("" = the barrier lane).
-  // The request's virtual start is where its lane's previous request
-  // finished, but never behind the global clock — a lane idle past the
-  // clock gets its stale finish time snapped forward, so a light table's
-  // fresh request starts "now" and sorts ahead of a hot table's billed
-  // backlog, where plain arrival-order FIFO would queue it behind every
-  // entry of that backlog.
-  uint64_t& vfinish = table_vfinish_[node->barrier ? std::string()
-                                                  : node->table];
-  const uint64_t vstart = std::max(virtual_time_, vfinish);
-  vfinish = vstart + (node->draining ? kDrainWeight
-                                     : node->compute ? kComputeWeight : 1);
-  ReadyEntry entry;
-  entry.vstart = vstart;
-  entry.arrival = node->arrival;
-  entry.node = node;
-  PushReadyLocked(std::move(entry));
-}
-
-void ServeExecutor::EnqueueJobLocked(std::function<void()> job) {
-  ReadyEntry entry;
-  entry.vstart = virtual_time_;
-  entry.arrival = next_arrival_++;
-  entry.job = std::move(job);
-  PushReadyLocked(std::move(entry));
-}
-
-void ServeExecutor::PushReadyLocked(ReadyEntry entry) {
-  ready_.push_back(std::move(entry));
-  std::push_heap(ready_.begin(), ready_.end(), ReadyLater<ReadyEntry>);
+  sched_.Enqueue(node);
   ready_cv_.notify_one();
 }
 
 void ServeExecutor::WorkerMain() {
   for (;;) {
-    ReadyEntry entry;
+    RequestScheduler::Entry entry;
     {
       std::unique_lock<std::mutex> lock(sched_mu_);
       ready_cv_.wait(lock,
-                     [this] { return workers_stopping_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // stopping, and nothing left to drain
-      std::pop_heap(ready_.begin(), ready_.end(), ReadyLater<ReadyEntry>);
-      entry = std::move(ready_.back());
-      ready_.pop_back();
-      // Advance the WFQ clock to the dispatched start time; lanes that
-      // idled past it snap forward on their next enqueue.
-      virtual_time_ = std::max(virtual_time_, entry.vstart);
+                     [this] { return workers_stopping_ || !sched_.empty(); });
+      if (sched_.empty()) return;  // stopping, and nothing left to drain
+      entry = sched_.Pop();
     }
     if (entry.node != nullptr) {
       ExecuteNode(entry.node, /*inline_on_loop=*/false);
@@ -1203,7 +967,7 @@ void ServeExecutor::WorkerMain() {
 }
 
 void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
-  const std::shared_ptr<Conn> conn = node->conn;
+  const std::shared_ptr<Conn> conn = std::static_pointer_cast<Conn>(node->conn);
   std::string response;
   try {
     response = conn->dispatcher.Handle(node->line);
@@ -1222,10 +986,7 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    if (inline_on_loop && conn->loop != nullptr) {
-      ++conn->loop->shadow.inline_served;
-      conn->loop->PublishLocked();
-    }
+    if (inline_on_loop) ++conn->loop->counters.inline_served;
     CompleteLocked(node, std::move(response), !inline_on_loop);
   }
   // Flush from the worker instead of waiting for the loop: on an
@@ -1240,56 +1001,22 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
 
 void ServeExecutor::CompleteLocked(Request* node, std::string response,
                                    bool notify_loop) {
-  const std::shared_ptr<Conn> conn = node->conn;
-  conn->queued_line_bytes -= node->line.size();
-  if (conn->last_barrier == node) conn->last_barrier = nullptr;
-  if (!node->barrier) {
-    const auto it = conn->last_by_table.find(node->table);
-    if (it != conn->last_by_table.end() && it->second == node) {
-      conn->last_by_table.erase(it);
-    }
-  }
-  conn->unfinished.erase(
-      std::remove(conn->unfinished.begin(), conn->unfinished.end(), node),
-      conn->unfinished.end());
-  for (Request* dependent : node->dependents) {
-    if (--dependent->deps == 0) DispatchLocked(dependent);
-  }
-  if (!conn->dead) {
-    conn->finished_out_of_order.emplace(node->seq, std::move(response));
-    SequenceLocked(*conn);
-  }
-  if (conn->loop != nullptr) {
-    ++conn->loop->shadow.served;
-    conn->loop->PublishLocked();
-  }
-  requests_served_.fetch_add(1);
+  const std::shared_ptr<Conn> conn = std::static_pointer_cast<Conn>(node->conn);
+  const size_t before = conn->pending_out.size();
+  const std::vector<Request*> ready = sched_.Complete(
+      node, std::move(response), conn->dead ? nullptr : &conn->pending_out);
+  conn->unsent_bytes += conn->pending_out.size() - before;
+  for (Request* dependent : ready) DispatchLocked(dependent);
+  ++conn->loop->counters.served;
   // Output may be flushable, reads resumable, or the connection
   // finishable — let the owning loop re-evaluate (skipped on the inline
   // path: the loop is the caller and re-evaluates at the end of this
   // very service pass).
   if (notify_loop) NotifyLoopLocked(conn);
-  live_nodes_.erase(node);  // destroys *node
-}
-
-void ServeExecutor::SequenceLocked(Conn& conn) {
-  // Completion order is whatever the workers produced; the wire order is
-  // the request order. Append every response whose turn has come.
-  for (auto it = conn.finished_out_of_order.find(conn.next_send);
-       it != conn.finished_out_of_order.end();
-       it = conn.finished_out_of_order.find(conn.next_send)) {
-    if (!it->second.empty()) {
-      conn.pending_out += it->second;
-      conn.pending_out += '\n';
-      conn.unsent_bytes += it->second.size() + 1;
-    }
-    conn.finished_out_of_order.erase(it);
-    ++conn.next_send;
-  }
 }
 
 void ServeExecutor::NotifyLoopLocked(const std::shared_ptr<Conn>& conn) {
-  if (conn->notified || conn->loop == nullptr) return;
+  if (conn->notified) return;
   conn->notified = true;
   conn->loop->notify.push_back(conn);
   WakeLoop(*conn->loop);
@@ -1298,10 +1025,8 @@ void ServeExecutor::NotifyLoopLocked(const std::shared_ptr<Conn>& conn) {
 void ServeExecutor::OnDrainFinished(const std::string& table) {
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    const auto it = parked_.find(table);
-    if (it != parked_.end()) {
-      for (Request* node : it->second) EnqueueReadyLocked(node);
-      parked_.erase(it);
+    for (size_t n = sched_.ReleaseParked(table); n > 0; --n) {
+      ready_cv_.notify_one();
     }
     // A finished fold is exactly when this table's replication streams
     // have new committed bytes: push a pump pass to their loops so
@@ -1325,7 +1050,7 @@ void ServeExecutor::SchedulePolicyEval() {
   if (options_.durability == nullptr) return;
   if (policy_eval_scheduled_.exchange(true)) return;
   std::lock_guard<std::mutex> lock(sched_mu_);
-  EnqueueJobLocked([this] {
+  sched_.EnqueueJob([this] {
     try {
       options_.durability->RunDuePolicies();
     } catch (...) {
@@ -1346,6 +1071,7 @@ void ServeExecutor::SchedulePolicyEval() {
       WakeLoop(*loops_[0]);
     }
   });
+  ready_cv_.notify_one();
 }
 
 void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {
@@ -1393,10 +1119,7 @@ void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {
   conn->repl->chain = handshake.chain;
   conn->repl->offset = handshake.committed_bytes;
   conn->repl->handshake_done = true;
-  if (conn->loop != nullptr) {
-    conn->loop->shadow.repl_bytes += added;
-    conn->loop->PublishLocked();
-  }
+  conn->loop->counters.repl_bytes += added;
   NotifyLoopLocked(conn);
 }
 
@@ -1437,8 +1160,7 @@ bool ServeExecutor::PumpReplication(IoLoop& loop,
   conn->repl->offset = offset;
   conn->pending_out += chunk;
   conn->unsent_bytes += chunk.size();
-  loop.shadow.repl_bytes += chunk.size();
-  loop.PublishLocked();
+  loop.counters.repl_bytes += chunk.size();
   return false;
 }
 
@@ -1477,10 +1199,7 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
   if (sent_total == 0 && !peer_gone) return;
   std::lock_guard<std::mutex> lock(sched_mu_);
   conn->unsent_bytes -= std::min(conn->unsent_bytes, sent_total);
-  if (sent_total > 0 && conn->loop != nullptr) {
-    conn->loop->shadow.bytes_out += sent_total;
-    conn->loop->PublishLocked();
-  }
+  conn->loop->counters.bytes_out += sent_total;
   if (peer_gone && !conn->dead) {
     conn->dead = true;
     conn->pending_out.clear();
@@ -1513,14 +1232,15 @@ void ServeExecutor::CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn) {
 
 std::string ServeExecutor::MetricsResponse() const {
   // Safe from any worker while the executor runs: loops_ is mutated only
-  // in Start/Shutdown, when no requests execute; the per-loop snapshots
-  // are seqlock reads.
-  IoLoop::Shadow total;
-  std::vector<IoLoop::Shadow> snaps;
-  snaps.reserve(loops_.size());
-  for (const auto& loop : loops_) {
-    snaps.push_back(loop->ReadCounters());
-    const IoLoop::Shadow& s = snaps.back();
+  // in Start/Shutdown, when no requests execute. One copy of every loop's
+  // counters under sched_mu_ (METRICS holds no executor lock here).
+  std::vector<IoLoop::Counters> snaps;
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    for (const auto& loop : loops_) snaps.push_back(loop->counters);
+  }
+  IoLoop::Counters total;
+  for (const IoLoop::Counters& s : snaps) {
     total.accepted += s.accepted;
     total.served += s.served;
     total.inline_served += s.inline_served;
@@ -1552,7 +1272,7 @@ std::string ServeExecutor::MetricsResponse() const {
         << " result_cache_entries=" << cache.entries;
   }
   for (size_t i = 0; i < snaps.size(); ++i) {
-    const IoLoop::Shadow& s = snaps[i];
+    const IoLoop::Counters& s = snaps[i];
     out << " loop" << i << "=accepted:" << s.accepted << ",served:" << s.served
         << ",inline:" << s.inline_served << ",bytes_in:" << s.bytes_in
         << ",bytes_out:" << s.bytes_out << ",stalls:" << s.backpressure_stalls

@@ -38,29 +38,15 @@
 ///    ready queue. Workers are plain threads, not ParallelFor workers,
 ///    so a kernel inside a request still fans out.
 ///
-/// Scheduling preserves the observable semantics of serial execution:
-/// requests addressing the same table execute in arrival order, requests
-/// addressing different tables commute (shards share no state) and run
-/// concurrently, and namespace verbs — plus SNAPSHOT, whose destination
-/// path is a shared resource outside the table key — act as per-connection barriers (see
-/// ClassifyRequest in serve/protocol.h). Responses are sequenced through
-/// a per-connection in-order queue, so a pipelined client still receives
-/// exactly one response line per request, in request order — the
-/// response stream is bit-identical to the synchronous dispatcher's,
-/// while the server-side work overlaps.
-///
-/// Worker shares are dealt per TABLE, not per request: the ready queue
-/// is a weighted-fair-queuing heap keyed by per-table
-/// virtual start times (a draining verb bills kDrainWeight slots, a
-/// compute verb — EVAL/SELECT, which may run a consensus method on a
-/// cold result cache — kComputeWeight, a light verb one), so a hot
-/// table's deep backlog cannot starve a light table's single request —
-/// the light request's virtual start snaps to the current virtual time
-/// and sorts ahead of the backlog's already-billed slots, where plain
-/// arrival-order FIFO would queue it behind every one of them. Compute
-/// verbs are also excluded from the loop-thread inline fast path: a
-/// cold-cache consensus run (or SELECT's ILP fallback) always executes
-/// on a worker, never on an event loop.
+/// Scheduling — same-table chains, per-connection barriers, in-order
+/// response sequencing, the weighted fair ready queue and parked
+/// requests — lives in the socket-free RequestScheduler
+/// (serve/scheduler.h), which this executor drives under its one
+/// scheduler lock. The response stream is bit-identical to the
+/// synchronous dispatcher's while the server-side work overlaps. Compute
+/// verbs (EVAL / SELECT) are excluded from the loop-thread inline fast
+/// path: a cold-cache consensus run (or SELECT's ILP fallback) always
+/// executes on a worker, never on an event loop.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is
@@ -72,8 +58,10 @@
 /// ## Backpressure
 ///
 /// A connection stops being read while it has
-/// max_inflight_per_connection parsed-but-unanswered requests or more
-/// than max_buffered_response_bytes of unflushed response bytes; the
+/// max_inflight_per_connection parsed-but-unanswered requests, more than
+/// max_buffered_response_bytes of unflushed response bytes, or more than
+/// 32 MiB of parsed-but-unexecuted request lines (two maximum-size lines;
+/// without it a client could pipeline 64 nearly-16 MiB APPENDs); the
 /// kernel socket buffer then pushes back on the client the normal TCP
 /// way. (The cap is soft: every complete line already read in the
 /// current chunk is still scheduled.)
@@ -88,11 +76,11 @@
 ///
 /// ## Observability
 ///
-/// Every loop publishes counters (connections accepted, requests served
+/// Every loop keeps plain counters (connections accepted, requests served
 /// and served-inline, bytes in/out, backpressure stalls, parked drains,
-/// EMFILE rejections) through the same seqlock idiom as the engine's
-/// ProfileCounters: writers are serialized by the scheduler lock, the
-/// METRICS verb reads a consistent snapshot lock-free.
+/// EMFILE rejections, replication sessions and bytes), written under the
+/// scheduler lock. The METRICS verb is rare and runs with no executor
+/// lock held, so it copies them under that lock once.
 ///
 /// ## Shutdown
 ///
@@ -137,7 +125,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -147,6 +134,7 @@
 
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
+#include "serve/scheduler.h"
 
 namespace manirank::serve {
 
@@ -172,12 +160,6 @@ struct ServerOptions {
   size_t max_inflight_per_connection = 64;
   /// Unflushed response bytes per connection before the same.
   size_t max_buffered_response_bytes = 4u << 20;
-  /// Bytes of parsed-but-unexecuted request lines per connection before
-  /// the same — without this a client could pipeline 64 nearly-16 MiB
-  /// APPENDs and pin ~1 GiB per connection. The default admits two
-  /// maximum-size lines; one over-cap line is always admitted (soft
-  /// cap), so a single kMaxRequestBytes request still works.
-  size_t max_buffered_request_bytes = 32u << 20;
   /// Announce "listening on 127.0.0.1:<port>" to this stream (nullptr =
   /// quiet; serve_main passes stderr).
   std::ostream* log = nullptr;
@@ -216,27 +198,21 @@ class ServeExecutor {
 
   /// Event loops actually running (after Start).
   size_t io_loops() const { return io_loops_; }
-  /// Requests whose responses were completed (diagnostics).
+  /// Requests whose responses were completed since Start: the sum of
+  /// the loops' METRICS `served` counts (0 once Shutdown has run).
   uint64_t requests_served() const;
 
  private:
   struct Conn;
   struct IoLoop;
-  struct Request;
-  /// Ready-queue entry: a min-heap on (vstart, arrival). vstart is the
-  /// weighted-fair-queuing virtual start time — see EnqueueReadyLocked;
-  /// arrival breaks ties back to strict FIFO. Carries a request, or
-  /// (node == nullptr) a side job — see EnqueueJobLocked.
-  struct ReadyEntry {
-    uint64_t vstart = 0;
-    uint64_t arrival = 0;
-    Request* node = nullptr;
-    std::function<void()> job;
-  };
+  using Request = RequestScheduler::Request;
   enum class ReadStatus { kDrained, kBudget, kBackpressured, kEof, kAborted };
 
   void LoopMain(IoLoop& loop);
   static void WakeLoop(IoLoop& loop);
+  /// Loop-thread only: queue the connection for a service pass on its
+  /// loop (deduplicated via Conn::in_service).
+  static void QueueService(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   void ServiceConn(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   void AcceptReady(IoLoop& loop);
   /// EMFILE/ENFILE: burn the reserved emergency fd to accept, reject
@@ -244,37 +220,33 @@ class ServeExecutor {
   /// accepted (empty backlog, or a timed retry was scheduled).
   bool RejectOverloadedAccept(IoLoop& loop);
   ReadStatus HandleReadable(IoLoop& loop, const std::shared_ptr<Conn>& conn);
-  /// Classifies and registers one request line. Returns a node the
-  /// CALLER must execute inline (loop-thread fast path), or nullptr when
-  /// the request was dispatched to a worker / parked / answered.
+  /// sched_mu_ held: the read-budget predicate (in-flight requests,
+  /// unflushed response bytes, unexecuted request bytes).
+  bool CanReadLocked(const Conn& conn) const;
+  /// Classifies one request line, intercepts a REPLICATE handshake, and
+  /// admits the rest. Returns a node the CALLER must execute inline
+  /// (loop-thread fast path), or nullptr.
   Request* ScheduleLine(const std::shared_ptr<Conn>& conn, std::string&& line);
-  void ScheduleOversize(const std::shared_ptr<Conn>& conn);
-  /// sched_mu_ held: dispatch a dependency-free request (park, answer a
-  /// synthetic, or enqueue for the workers).
+  /// sched_mu_ held: the one admit path — normal lines and the synthetic
+  /// oversize / REPLICATE-conflict ERRs. Returns the node when the
+  /// caller should execute it inline, else dispatches it (or leaves it
+  /// to its predecessors) and returns nullptr.
+  Request* AdmitLocked(const std::shared_ptr<Conn>& conn, RequestClass cls,
+                       std::string line, std::string synthetic);
+  /// sched_mu_ held: dispatch a dependency-free request (answer a
+  /// synthetic, park it, or queue it for the workers).
   void DispatchLocked(Request* node);
-  /// sched_mu_ held: stamp the WFQ virtual start time, push onto the
-  /// ready heap, and wake one worker.
-  void EnqueueReadyLocked(Request* node);
-  /// sched_mu_ held: queue a side job (replication handshake,
-  /// snapshot-policy pass) on the same heap. It is stamped at the
-  /// current virtual time and billed to no lane, so it runs as soon as a
-  /// worker frees.
-  void EnqueueJobLocked(std::function<void()> job);
-  /// sched_mu_ held: the one push onto ready_ (heap insert + wake one
-  /// worker).
-  void PushReadyLocked(ReadyEntry entry);
   /// Worker-thread body: wait for the ready heap, pop the fairest entry,
   /// unlock, execute; exits once told to stop and the heap is empty.
   void WorkerMain();
   /// Executes one node's request (no executor lock held), completes it,
   /// and — on the worker path — flushes the response.
   void ExecuteNode(Request* node, bool inline_on_loop);
-  /// sched_mu_ held: record the response, resolve dependents, sequence,
-  /// bump counters, and (unless the caller IS the owning loop) queue the
-  /// connection for service on its loop.
+  /// sched_mu_ held: complete the request in the scheduler, dispatch
+  /// the dependents it freed, count it, and (unless the caller IS the
+  /// owning loop) queue the connection for service on its loop.
   void CompleteLocked(Request* node, std::string response, bool notify_loop);
-  static void SequenceLocked(Conn& conn);
-  /// sched_mu_ held: add the connection to its loop's service queue
+  /// sched_mu_ held: add the connection to its loop's notify list
   /// (deduplicated) and wake the loop.
   void NotifyLoopLocked(const std::shared_ptr<Conn>& conn);
   void OnDrainFinished(const std::string& table);
@@ -300,7 +272,7 @@ class ServeExecutor {
   void FlushConn(const std::shared_ptr<Conn>& conn);
   /// Loop-thread only: deregister, close, and forget a connection.
   void CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn);
-  /// One-line counter snapshot for the METRICS verb (lock-free reads).
+  /// One-line counter snapshot for the METRICS verb.
   std::string MetricsResponse() const;
 
   ContextManager* manager_;
@@ -313,46 +285,31 @@ class ServeExecutor {
   std::vector<std::thread> workers_;
 
   /// One scheduling lock for parse-side (event loops) and completion-side
-  /// (workers) bookkeeping. Scheduling operations are micro-sized
-  /// compared to request execution, which never holds it — and response
-  /// flushing happens under per-connection write locks, not this one.
-  std::mutex sched_mu_;
-  /// Owns every unfinished request; executing workers hold raw pointers,
-  /// so nodes die only in CompleteLocked (or teardown after the workers
-  /// have drained).
-  std::unordered_map<Request*, std::unique_ptr<Request>> live_nodes_;
-  /// Dependency-free requests and side jobs awaiting a worker: WFQ
-  /// min-heap (see ReadyEntry), the executor's only run queue. With every
-  /// worker busy the pop order is the per-table weighted fair order; an
-  /// idle worker still takes everything immediately.
-  std::vector<ReadyEntry> ready_;
-  /// Signalled under sched_mu_ when ready_ gains an entry or
+  /// (workers) bookkeeping, and for the per-loop counters. Scheduling
+  /// operations are micro-sized compared to request execution, which
+  /// never holds it — and response flushing happens under per-connection
+  /// write locks, not this one.
+  mutable std::mutex sched_mu_;
+  /// Every unfinished request, the ready heap (the executor's only run
+  /// queue) and the parked requests. Executing workers hold raw node
+  /// pointers, so nodes die only in CompleteLocked (or teardown after the
+  /// workers have drained).
+  RequestScheduler sched_;
+  /// Signalled under sched_mu_ when sched_ gains a ready entry or
   /// workers_stopping_ is set.
   std::condition_variable ready_cv_;
-  /// Set by Shutdown after the loops are joined: the workers drain
-  /// ready_, then exit.
+  /// Set by Shutdown after the loops are joined: the workers drain the
+  /// ready heap, then exit.
   bool workers_stopping_ = false;
-  uint64_t next_arrival_ = 0;
-  /// WFQ clock: the largest virtual start time ever popped. A table
-  /// idle past this point has its stale vfinish snapped forward, so
-  /// fresh light-table requests sort ahead of a hot table's billed
-  /// backlog.
-  uint64_t virtual_time_ = 0;
-  /// Per-table virtual finish times ("" = barrier lane). Bounded by the
-  /// number of distinct table names seen; cleared on Shutdown.
-  std::unordered_map<std::string, uint64_t> table_vfinish_;
-  /// Draining requests parked while their table's backlog folds;
-  /// released by OnDrainFinished.
-  std::unordered_map<std::string, std::vector<Request*>> parked_;
   /// One global parked-queue flush when shutdown begins (first loop to
   /// notice performs it).
   bool parked_flushed_ = false;
   /// Live replication streams (handshake pending or done), keyed by raw
-  /// Conn pointer: the drain observer pushes a pump notification to each
-  /// stream of the folded table. Entries leave in CloseConn.
+  /// Conn pointer. Each loop queues its own streams for a pump pass every
+  /// iteration; the drain observer notifies the streams of the folded
+  /// table. Entries leave in CloseConn (or on a refused handshake).
   std::unordered_map<Conn*, std::shared_ptr<Conn>> repl_conns_;
 
-  std::atomic<uint64_t> requests_served_{0};
   /// SchedulePolicyEval dedup flag (see its comment).
   std::atomic<bool> policy_eval_scheduled_{false};
 };

@@ -83,13 +83,12 @@ TEST(ContextGateTest, SharedHoldersAdmitEachOther) {
   gate.LockShared();
   gate.LockShared();
   EXPECT_EQ(gate.readers_in_flight(), 2);
-  EXPECT_FALSE(gate.TryLockExclusive());
   gate.UnlockShared();
   gate.UnlockShared();
-  EXPECT_TRUE(gate.TryLockExclusive());
+  gate.LockExclusive();
   EXPECT_TRUE(gate.ThisThreadHoldsExclusive());
   // Re-entrant exclusive: the batch-application path re-acquires.
-  EXPECT_TRUE(gate.TryLockExclusive());
+  gate.LockExclusive();
   gate.UnlockExclusive();
   EXPECT_TRUE(gate.ThisThreadHoldsExclusive());
   gate.UnlockExclusive();
